@@ -1938,15 +1938,15 @@ let e18 ?(smoke = false) () =
 (* --- E19: batched transport ablation ----------------------------- *)
 
 (* Coalescing ablation (DESIGN.md §13): the same chatty workloads run
-   with the per-message Reliable protocol and with batching on, and
-   the delta prices what per-message envelopes and per-message acks
-   cost.  Three traffic shapes: a continuous service streaming many
+   on the Reliable transport at flush 0 / ack 0 (one frame and one ack
+   per message) and with coalescing on, and the delta prices what
+   per-message envelopes and per-message acks cost.  Three traffic shapes: a continuous service streaming many
    tiny responses (envelope-dominated), repeated two-site joins
    (request/response traffic, where acks can ride reverse batches),
    and a double catalog fetch (identical in-flight transfers, so
    within-frame sharing — rule (13) at the transport layer — fires).
-   Correctness bar: every batched run must reproduce its unbatched
-   twin's answer and final Σ fingerprint. *)
+   Correctness bar: every coalescing run must reproduce its 0/0 twin's
+   answer and final Σ fingerprint. *)
 
 let e19 ?(smoke = false) () =
   section
@@ -1954,8 +1954,8 @@ let e19 ?(smoke = false) () =
      else "E19  batched transport ablation");
   Printf.printf
     "workloads: stream (chatty continuous service), join (request/response\n\
-     rounds), dup (identical concurrent transfers); each runs with the\n\
-     per-message Reliable protocol (flush 0/ack 0) and with batching on\n\n";
+     rounds), dup (identical concurrent transfers); each runs on the\n\
+     Reliable transport at flush 0/ack 0 and with batching on\n\n";
   let link = Net.Link.make ~latency_ms:10.0 ~bandwidth_bytes_per_ms:100.0 in
   (* stream: a continuous service at p2 pushing [stream_k] one-element
      responses, spaced 1ms apart, into a collector document at p1 — the
@@ -2109,7 +2109,7 @@ let e19 ?(smoke = false) () =
       per_workload
   in
   if not all_correct then
-    Printf.printf "  !! E19 a batched run diverged from its unbatched twin\n";
+    Printf.printf "  !! E19 a batched run diverged from its 0/0 twin\n";
   (* Headline: aggregate frame/byte reduction across the three
      workloads at the default-recommended knobs. *)
   let sum f =

@@ -448,16 +448,16 @@ let trace_cmd =
       value & opt float 0.0
       & info [ "flush-ms" ] ~docv:"MS"
           ~doc:
-            "Batch flush window; a positive value switches on the batched \
-             Reliable transport")
+            "Coalescing window of the Reliable transport; a positive value \
+             runs Example-1 on it")
   in
   let ack_delay =
     Arg.(
       value & opt float 0.0
       & info [ "ack-delay" ] ~docv:"MS"
           ~doc:
-            "Standalone-ack deferral; a positive value switches on the \
-             batched Reliable transport")
+            "Standalone-ack deferral of the Reliable transport; a positive \
+             value runs Example-1 on it")
   in
   let run items selectivity out format metrics_out flush_ms ack_delay =
     (* Example-1 (pushing selections), instrumented: the naive plan and
@@ -474,8 +474,8 @@ let trace_cmd =
         [ p1; p2 ]
     in
     let build () =
-      (* The batching knobs imply the Reliable transport: batch frames
-         and delayed acks only exist in the sequenced protocol. *)
+      (* Either knob implies the Reliable transport: both shape only the
+         sequenced protocol. *)
       let sys =
         if flush_ms > 0.0 || ack_delay > 0.0 then
           Runtime.System.create ~transport:Runtime.System.Reliable ~flush_ms
@@ -615,18 +615,17 @@ let chaos_cmd =
       value & opt float 0.0
       & info [ "flush-ms" ] ~docv:"MS"
           ~doc:
-            "Batch flush window for the system under test; a positive value \
-             switches the Reliable transport into batched mode (ignored \
-             with $(b,--raw))")
+            "Coalescing window of the Reliable transport for the system \
+             under test; 0 ships each message at send time (ignored with \
+             $(b,--raw))")
   in
   let ack_delay =
     Arg.(
       value & opt float 0.0
       & info [ "ack-delay" ] ~docv:"MS"
           ~doc:
-            "Standalone-ack deferral for the system under test; a positive \
-             value switches the Reliable transport into batched mode \
-             (ignored with $(b,--raw))")
+            "Standalone-ack deferral of the Reliable transport for the \
+             system under test; 0 acks at once (ignored with $(b,--raw))")
   in
   let run seed drop raw flush_ms ack_delay wire slo =
     (* Three-peer reference Σ (the V-series shape): catalog at p2,
@@ -646,10 +645,9 @@ let chaos_cmd =
     let orders_xml =
       {|<orders><order item="alpha"/><order item="gamma"/><order item="zeta"/></orders>|}
     in
-    (* The reference runs stay on the unbatched per-message protocol
-       and the XML wire: the check is that a batched (or binary-wire)
-       faulty run still reproduces the plain fault-free answer, not a
-       twin of itself. *)
+    (* The reference runs stay at flush 0 / ack 0 on the XML wire: the
+       check is that a coalescing (or binary-wire) faulty run still
+       reproduces the plain fault-free answer, not a twin of itself. *)
     let build ?(flush_ms = 0.0) ?(ack_delay_ms = 0.0)
         ?(wire = Runtime.System.Xml) transport =
       let sys =
@@ -705,7 +703,7 @@ let chaos_cmd =
       | Runtime.System.Binary -> "binary"
       | Runtime.System.Binary_strict -> "binary-strict")
       (if (not raw) && (flush_ms > 0.0 || ack_delay > 0.0) then
-         Printf.sprintf " (batched: flush %g ms, ack delay %g ms)" flush_ms
+         Printf.sprintf " (flush %g ms, ack delay %g ms)" flush_ms
            ack_delay
        else "");
     let divergent = ref 0 in

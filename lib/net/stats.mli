@@ -11,8 +11,8 @@ type snapshot = {
   payload_messages : int;
       (** Logical messages carried: a batched frame (see
           {!Axml_peer.Message.Batch}) counts once in [messages] but
-          its item count here.  Equal to [messages] when no transport
-          batches. *)
+          its item count here.  Equal to [messages] when every frame
+          carries one message. *)
   bytes : int;
   local_messages : int;  (** Loopback deliveries, not counted in [bytes]. *)
   drops : int;

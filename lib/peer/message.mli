@@ -131,10 +131,10 @@ type payload =
       (** Transfer of a query value between peers; the receiving
           continuation captures what to do with it. *)
   | Ack of { seq : int }
-      (** Reliable-transport acknowledgement of the sender's sequence
-          number (see {!System}); acks themselves are unsequenced.
-          Under batching, acknowledgements are {e cumulative}: [seq]
-          acknowledges every sequence number up to and including it. *)
+      (** Reliable-transport acknowledgement (see {!Transport}); acks
+          themselves are unsequenced.  Acknowledgements are
+          {e cumulative}: [seq] acknowledges every sequence number up
+          to and including it. *)
   | Batch of { items : batch_item list; ack : int }
       (** A coalesced frame of sequenced messages for one (src, dst)
           pair, in ascending sequence order, plus the sender's {e

@@ -5,7 +5,6 @@ module Tree = Axml_xml.Tree
 module Forest = Axml_xml.Forest
 module Trace = Axml_obs.Trace
 module Metrics = Axml_obs.Metrics
-module Timeseries = Axml_obs.Timeseries
 
 let log = Logs.Src.create "axml.system" ~doc:"AXML peer system"
 
@@ -31,70 +30,6 @@ type transport = Raw | Reliable
    end. *)
 type wire = Xml | Binary | Binary_strict
 
-(* Reliable-transport state. Sequence cursors ([next_seq],
-   [next_expected]) model WAL-backed durable state: they survive a
-   crash, so a restarted peer neither reuses sequence numbers (which
-   would be mistaken for duplicates) nor re-accepts old ones.  The
-   in-flight tables ([pending] at the sender, [buffer] at the
-   receiver) are volatile and wiped by a crash — the protocol is
-   designed so that is safe: a buffered message is never acked, so
-   losing the buffer just means the sender retransmits. *)
-type pending_send = {
-  msg : Message.t;
-  mutable attempt : int;
-  mutable cancel_retry : unit -> unit;
-      (* Cancels the scheduled retransmission timer; invoked when the
-         ack lands (or the sender crashes) so the dead timer cannot
-         stretch the run's completion time. *)
-}
-
-(* One connection record per ordered peer pair (a, b), bundling every
-   role [a] plays in its conversation with [b]: the durable sequence
-   cursors, the sender-side in-flight state for a→b traffic (per-seq
-   [pending] sends or the batching window), and the receiver-side
-   state for b→a traffic (the early-arrival [buffer] and the delayed
-   standalone ack).  This replaces five tuple-keyed hashtables whose
-   per-message key allocation and generic tuple hashing dominated the
-   transport at 10^6 messages: now each message does one int-keyed
-   probe (packed dense peer indexes) to reach all of its state.
-
-   Durability: [next_seq] / [next_expected] model WAL-backed cursors
-   and survive a crash of [a]; everything else in the record is
-   volatile and reset by {!handle_crash}.  The record itself is
-   created on first contact and never removed. *)
-type conn = {
-  c_src : Peer_id.t;  (* a *)
-  c_dst : Peer_id.t;  (* b *)
-  mutable next_seq : int;  (* last seq assigned to a→b traffic *)
-  mutable next_expected : int;  (* next in-order seq awaited from b *)
-  pending : (int, pending_send) Hashtbl.t;  (* seq -> unbatched in-flight *)
-  mutable queue : Message.t list;  (* awaiting flush, newest first *)
-  mutable flush_pending : bool;
-  mutable unacked : Message.t list;  (* sent, ascending seq *)
-  mutable attempt : int;
-  mutable cancel_retry : unit -> unit;
-  buffer : (int, Message.t) Hashtbl.t;  (* seq -> early arrival from b *)
-  mutable ack_due : bool;  (* a standalone ack timer is armed *)
-  mutable cancel_ack : unit -> unit;
-  mutable ts_inflight : Timeseries.handle option;
-      (* Lazily-bound [net/link/a->b/inflight] series (see
-         {!Axml_obs.Timeseries}); [None] until the first send with
-         telemetry enabled. *)
-}
-
-type rel = {
-  conns : (int, conn) Hashtbl.t;  (* packed (a, b) dense-index pair *)
-  mutable retransmits : int;
-  mutable dup_suppressed : int;
-  mutable abandoned : int;
-  mutable acks_sent : int;
-  mutable batches_sent : int;
-  mutable batched_messages : int;
-  mutable piggybacked_acks : int;
-  mutable delayed_acks : int;
-  mutable dedup_shared_bytes : int;
-}
-
 (* Pre-resolved per-peer metric handles for the routing/stream hot
    path — a keyed [Metrics.incr] allocates a key tuple and hashes
    three strings per call, which showed up at the E21 1000-peer tier. *)
@@ -113,11 +48,9 @@ type t = {
   cpu_ms_per_kb : float;
   transport : transport;
   wire : wire;
-  rto_ms : float;
-  max_retries : int;
   flush_ms : float;
   ack_delay_ms : float;
-  rel : rel;
+  rel : Transport.t;
   mutable failover_save : Peer_id.t -> unit;
   mutable failover_load : Peer_id.t -> unit;
   mutable qcache_capacity : int option;
@@ -143,7 +76,7 @@ let wire t = t.wire
 let flush_ms t = t.flush_ms
 let ack_delay_ms t = t.ack_delay_ms
 
-type reliability_counters = {
+type reliability_counters = Transport.counters = {
   retransmits : int;
   dup_suppressed : int;
   abandoned : int;
@@ -155,18 +88,7 @@ type reliability_counters = {
   dedup_shared_bytes : int;
 }
 
-let reliability_counters t =
-  {
-    retransmits = t.rel.retransmits;
-    dup_suppressed = t.rel.dup_suppressed;
-    abandoned = t.rel.abandoned;
-    acks_sent = t.rel.acks_sent;
-    batches_sent = t.rel.batches_sent;
-    batched_messages = t.rel.batched_messages;
-    piggybacked_acks = t.rel.piggybacked_acks;
-    delayed_acks = t.rel.delayed_acks;
-    dedup_shared_bytes = t.rel.dedup_shared_bytes;
-  }
+let reliability_counters t = Transport.counters t.rel
 
 (* Dense per-peer slots: the per-dispatch peer lookup is an array load
    instead of a string hash + probe. *)
@@ -270,16 +192,16 @@ let set_cont ?(expected_finals = 1) t key f =
   Hashtbl.replace t.conts key
     { remaining_finals = expected_finals; batches = 0; fn = f }
 
-let note_of t payload =
+let note_of sim payload =
   (* Rendering the note costs; only pay when someone listens.
      (Per-peer net metrics live in Sim.send, next to Stats, so they
      mirror each actual transmission — including retransmissions and
      fault-injected duplicates.) *)
-  if Axml_net.Stats.tracing_enabled (Sim.stats t.sim) then
+  if Axml_net.Stats.tracing_enabled (Sim.stats sim) then
     Some (Format.asprintf "%a" Message.pp payload)
   else None
 
-let raw_send t ~src ~dst (msg : Message.t) =
+let raw_send sim wire ~src ~dst (msg : Message.t) =
   (* The charged size is the wire's: the XML model walks the payload
      (memoized per tree), the binary wire reads cached encoded-frame
      lengths.  Strict mode then replaces the in-flight message with
@@ -287,251 +209,19 @@ let raw_send t ~src ~dst (msg : Message.t) =
      frame exactly as a real network peer would — forests decode on
      first touch, and transport-layer handling decodes nothing. *)
   let bytes =
-    match t.wire with
+    match wire with
     | Xml -> Message.bytes msg.Message.payload
     | Binary | Binary_strict -> Codec.frame_bytes msg
   in
   let msg =
-    match t.wire with
+    match wire with
     | Xml | Binary -> msg
     | Binary_strict -> Codec.roundtrip msg
   in
   Sim.send
-    ?note:(note_of t msg.Message.payload)
+    ?note:(note_of sim msg.Message.payload)
     ~msgs:(Message.batch_size msg.Message.payload)
-    t.sim ~src ~dst ~bytes msg
-
-(* Exponential backoff, capped: attempt 0 waits rto, attempt n waits
-   min(rto * 2^n, rto * 32). *)
-let retry_delay t attempt = t.rto_ms *. (2.0 ** float_of_int (min attempt 5))
-
-let conn_key a b = (Peer_id.index a lsl 31) lor Peer_id.index b
-
-let conn t a b =
-  let key = conn_key a b in
-  match Hashtbl.find t.rel.conns key with
-  | c -> c
-  | exception Not_found ->
-      let c =
-        {
-          c_src = a;
-          c_dst = b;
-          next_seq = 0;
-          next_expected = 1;
-          pending = Hashtbl.create 8;
-          queue = [];
-          flush_pending = false;
-          unacked = [];
-          attempt = 0;
-          cancel_retry = ignore;
-          buffer = Hashtbl.create 8;
-          ack_due = false;
-          cancel_ack = ignore;
-          ts_inflight = None;
-        }
-      in
-      Hashtbl.add t.rel.conns key c;
-      c
-
-(* Lookup that must not create: used where the old tables answered
-   [None] for a pair that never communicated. *)
-let conn_opt t a b =
-  match Hashtbl.find t.rel.conns (conn_key a b) with
-  | c -> Some c
-  | exception Not_found -> None
-
-(* One physical transmission of a sequenced message plus the timer
-   that guards it.  The timer outlives acks on purpose: when it fires
-   it checks whether the send is still pending and retransmits with
-   backoff, giving up (and counting the abandonment) after
-   [max_retries] so a permanently dead destination cannot keep the
-   simulation alive forever.  The connection record is captured by the
-   timer closure — records are never replaced, so the capture cannot
-   go stale. *)
-let rec transmit t (c : conn) ~src ~dst (msg : Message.t) =
-  raw_send t ~src ~dst msg;
-  match Hashtbl.find_opt c.pending msg.Message.seq with
-  | None -> ()
-  | Some p ->
-      p.cancel_retry <-
-        Sim.after_cancellable t.sim ~peer:src
-          ~delay_ms:(retry_delay t p.attempt) (fun () ->
-            retry t c ~src ~dst msg)
-
-and retry t (c : conn) ~src ~dst (msg : Message.t) =
-  let seq = msg.Message.seq in
-  match Hashtbl.find_opt c.pending seq with
-  | None -> () (* acked in the meantime *)
-  | Some p when p.attempt >= t.max_retries ->
-      Hashtbl.remove c.pending seq;
-      t.rel.abandoned <- t.rel.abandoned + 1;
-      if Metrics.is_on Metrics.default then
-        Metrics.incr Metrics.default ~peer:(Peer_id.to_string src)
-          ~subsystem:"net" "abandoned";
-      (* SLO breach: reliable delivery gave up on this message. *)
-      if Trace.sampled () then
-        Trace.instant ~cat:"slo"
-          ~peer:(Peer_id.to_string src)
-          ~ts:(Sim.now t.sim)
-          ~args:
-            [ ("dst", Peer_id.to_string dst); ("seq", string_of_int seq);
-              ("count", "1") ]
-          "abandoned";
-      Log.warn (fun m ->
-          m "peer %a: abandoning seq %d to %a after %d retries" Peer_id.pp src
-            seq Peer_id.pp dst t.max_retries)
-  | Some p ->
-      p.attempt <- p.attempt + 1;
-      t.rel.retransmits <- t.rel.retransmits + 1;
-      if Metrics.is_on Metrics.default then
-        Metrics.incr Metrics.default ~peer:(Peer_id.to_string src)
-          ~subsystem:"net" "retransmits";
-      transmit t c ~src ~dst msg
-
-(* --- batched reliable transport (sender side) -------------------- *)
-
-(* Batching is an opt-in layer over the Reliable transport: with a
-   positive [flush_ms] (a Nagle-style coalescing window) and/or
-   [ack_delay_ms] (delayed standalone acks), sequenced messages to the
-   same destination ride one [Message.Batch] frame carrying a
-   piggybacked cumulative ack of the reverse direction.  With both
-   knobs at 0 — the default — the per-message path above runs
-   unchanged, byte for byte. *)
-let batched t =
-  t.transport = Reliable && (t.flush_ms > 0.0 || t.ack_delay_ms > 0.0)
-
-(* Highest sequence number [c.c_src] has delivered from [c.c_dst] —
-   what a cumulative ack acknowledges ([0] = nothing yet). *)
-let cum_ack (c : conn) = c.next_expected - 1
-
-(* Ship one frame.  A regular flush carries only the window's fresh
-   messages; a retransmission timeout re-ships the whole unacked
-   window (go-back-N on loss only — re-shipping on every flush would
-   go quadratic when the flush window is shorter than the RTT).  One
-   retry timer per direction guards the window, replacing the
-   per-message timers of the unbatched path. *)
-let rec send_batch t ~src ~dst (d : conn) msgs =
-  if d.ack_due then begin
-    (* The pending standalone ack is subsumed by this frame's
-       piggybacked cumulative ack. *)
-    d.cancel_ack ();
-    d.ack_due <- false;
-    t.rel.piggybacked_acks <- t.rel.piggybacked_acks + 1;
-    if Metrics.is_on Metrics.default then
-      Metrics.incr Metrics.default ~peer:(Peer_id.to_string src)
-        ~subsystem:"net" "piggybacked_acks"
-  end;
-  let payload = Message.batch ~ack:(cum_ack d) msgs in
-  let items = Message.batch_size payload in
-  let saved = Message.batch_saved payload in
-  t.rel.batches_sent <- t.rel.batches_sent + 1;
-  t.rel.batched_messages <- t.rel.batched_messages + items;
-  t.rel.dedup_shared_bytes <- t.rel.dedup_shared_bytes + saved;
-  if Metrics.is_on Metrics.default then begin
-    let peer = Peer_id.to_string src in
-    Metrics.incr Metrics.default ~peer ~subsystem:"net" "batches_sent";
-    Metrics.incr Metrics.default ~peer ~by:items ~subsystem:"net" "batch_items";
-    if saved > 0 then
-      Metrics.incr Metrics.default ~peer ~by:saved ~subsystem:"net"
-        "batch_shared_bytes"
-  end;
-  if Trace.sampled () then
-    Trace.instant ~cat:"net"
-      ~peer:(Peer_id.to_string src)
-      ~ts:(Sim.now t.sim)
-      ~args:
-        [
-          ("dst", Peer_id.to_string dst);
-          ("items", string_of_int items);
-          ("ack", string_of_int (cum_ack d));
-          ("shared_bytes", string_of_int saved);
-        ]
-      "batch";
-  raw_send t ~src ~dst (Message.make payload);
-  d.cancel_retry ();
-  d.cancel_retry <-
-    Sim.after_cancellable t.sim ~peer:src ~delay_ms:(retry_delay t d.attempt)
-      (fun () -> retry_batch t d ~src ~dst)
-
-and retry_batch t (d : conn) ~src ~dst =
-  match d with
-  | d when d.unacked = [] -> ()
-  | d when d.attempt >= t.max_retries ->
-      let n = List.length d.unacked in
-      d.unacked <- [];
-      d.attempt <- 0;
-      t.rel.abandoned <- t.rel.abandoned + n;
-      if Metrics.is_on Metrics.default then
-        Metrics.incr Metrics.default ~peer:(Peer_id.to_string src) ~by:n
-          ~subsystem:"net" "abandoned";
-      (* SLO breach: the whole unacked window was given up on. *)
-      if Trace.sampled () then
-        Trace.instant ~cat:"slo"
-          ~peer:(Peer_id.to_string src)
-          ~ts:(Sim.now t.sim)
-          ~args:
-            [ ("dst", Peer_id.to_string dst); ("count", string_of_int n) ]
-          "abandoned";
-      Log.warn (fun m ->
-          m "peer %a: abandoning %d batched message(s) to %a after %d retries"
-            Peer_id.pp src n Peer_id.pp dst t.max_retries)
-  | d ->
-      d.attempt <- d.attempt + 1;
-      t.rel.retransmits <- t.rel.retransmits + 1;
-      if Metrics.is_on Metrics.default then
-        Metrics.incr Metrics.default ~peer:(Peer_id.to_string src)
-          ~subsystem:"net" "retransmits";
-      send_batch t ~src ~dst d d.unacked
-
-let flush_conn t ~src ~dst (d : conn) =
-  d.flush_pending <- false;
-  match List.rev d.queue with
-  | [] -> ()  (* stale timer, e.g. surviving a crash+restart *)
-  | fresh ->
-      d.queue <- [];
-      d.unacked <- d.unacked @ fresh;
-      send_batch t ~src ~dst d fresh
-
-(* Everything up to [upto] is delivered at the far side.  Progress
-   resets the backoff; an emptied window parks the retry timer. *)
-let handle_cum_ack t ~at ~from upto =
-  match conn_opt t at from with
-  | None -> ()
-  | Some d ->
-      let before = List.length d.unacked in
-      d.unacked <-
-        List.filter (fun (m : Message.t) -> m.Message.seq > upto) d.unacked;
-      if List.length d.unacked < before then begin
-        d.attempt <- 0;
-        if d.unacked = [] then begin
-          d.cancel_retry ();
-          d.cancel_retry <- ignore
-        end
-      end
-
-(* Sender-side congestion telemetry: how many sequenced messages to
-   [c.c_dst] are in flight (unacked window plus the unflushed queue)
-   the moment a new send joins them — the signal a placement
-   controller would watch for a saturating link. *)
-let note_inflight (c : conn) =
-  let h =
-    match c.ts_inflight with
-    | Some h -> h
-    | None ->
-        let h =
-          Timeseries.handle Timeseries.default
-            ("net/link/" ^ Peer_id.to_string c.c_src ^ "->"
-           ^ Peer_id.to_string c.c_dst ^ "/inflight")
-        in
-        c.ts_inflight <- Some h;
-        h
-  in
-  (* [+ 1] counts the joining message itself: a quiet link reads 1,
-     a saturating one reads its whole outstanding window. *)
-  Timeseries.record h
-    (float_of_int
-       (1 + Hashtbl.length c.pending + List.length c.unacked
-      + List.length c.queue))
+    sim ~src ~dst ~bytes msg
 
 let send t ~src ~dst payload =
   let corr = Trace.current_corr () in
@@ -545,58 +235,8 @@ let send t ~src ~dst payload =
        protocol's feedback and must stay unsequenced or every ack
        would need an ack. *)
   in
-  if not sequenced then raw_send t ~src ~dst (Message.make ~corr ~op payload)
-  else begin
-    let c = conn t src dst in
-    let seq = c.next_seq + 1 in
-    c.next_seq <- seq;
-    let msg = Message.make ~corr ~seq ~op payload in
-    if Timeseries.is_on Timeseries.default then note_inflight c;
-    if batched t then begin
-      c.queue <- msg :: c.queue;
-      if not c.flush_pending then begin
-        c.flush_pending <- true;
-        (* [flush_ms = 0] still coalesces: the timer fires after every
-           send already scheduled at this instant. *)
-        Sim.after t.sim ~peer:src ~delay_ms:t.flush_ms (fun () ->
-            flush_conn t ~src ~dst c)
-      end
-    end
-    else begin
-      Hashtbl.replace c.pending seq { msg; attempt = 0; cancel_retry = ignore };
-      transmit t c ~src ~dst msg
-    end
-  end
-
-let send_ack t ~src ~dst ~corr seq =
-  t.rel.acks_sent <- t.rel.acks_sent + 1;
-  raw_send t ~src ~dst (Message.make ~corr (Message.Ack { seq }))
-
-(* --- batched reliable transport (receiver side, ack scheduling) --- *)
-
-let fire_delayed_ack t ~at ~from (d : conn) =
-  if d.ack_due then begin
-    d.ack_due <- false;
-    t.rel.delayed_acks <- t.rel.delayed_acks + 1;
-    if Metrics.is_on Metrics.default then
-      Metrics.incr Metrics.default ~peer:(Peer_id.to_string at)
-        ~subsystem:"net" "delayed_acks";
-    send_ack t ~src:at ~dst:from ~corr:0 (cum_ack d)
-  end
-
-(* Owe the sender an acknowledgement.  With no delay configured a
-   standalone cumulative ack leaves immediately; otherwise a single
-   timer is armed (re-arming would starve the sender under a steady
-   stream) and cancelled if reverse traffic piggybacks first. *)
-let schedule_ack t ~at ~from (d : conn) =
-  if t.ack_delay_ms <= 0.0 then
-    send_ack t ~src:at ~dst:from ~corr:0 (cum_ack d)
-  else if not d.ack_due then begin
-    d.ack_due <- true;
-    d.cancel_ack <-
-      Sim.after_cancellable t.sim ~peer:at ~delay_ms:t.ack_delay_ms (fun () ->
-          fire_delayed_ack t ~at ~from d)
-  end
+  if sequenced then Transport.send t.rel ~src ~dst ~corr ~op payload
+  else raw_send t.sim t.wire ~src ~dst (Message.make ~corr ~op payload)
 
 let consume_cpu t ~peer ~bytes =
   Sim.consume_cpu t.sim ~peer
@@ -894,7 +534,7 @@ let dispatch_payload t (self : Peer.t) ~src payload =
           Hashtbl.remove t.conts key;
           entry.fn [] ~final:true)
   | Message.Ack _ | Message.Batch _ ->
-      (* Consumed by the transport layer (on_message) before dispatch:
+      (* Consumed by the transport ({!Transport.on_frame}) before dispatch:
          a batch frame is unpacked into its items there. *)
       ()
 
@@ -935,128 +575,15 @@ let dispatch t (self : Peer.t) ~src (msg : Message.t) =
         raise e
   end
 
-(* Receiver-side transport stage, run before dispatch.  Sequenced
-   messages are delivered to the application exactly once and in send
-   order: early arrivals wait in a (volatile) buffer, duplicates are
-   suppressed, and an ack is emitted only when a message is actually
-   delivered — never for a merely buffered one, so a crash that wipes
-   the buffer cannot lose anything the sender believes delivered. *)
-let count_dup t p =
-  t.rel.dup_suppressed <- t.rel.dup_suppressed + 1;
-  if Metrics.is_on Metrics.default then
-    Metrics.incr Metrics.default ~peer:(Peer_id.to_string p) ~subsystem:"net"
-      "dup_suppressed"
-
-let rec deliver_in_order t (c : conn) p ~src (msg : Message.t) =
-  let seq = msg.Message.seq in
-  c.next_expected <- seq + 1;
-  send_ack t ~src:p ~dst:src ~corr:msg.Message.corr seq;
-  dispatch t (peer t p) ~src msg;
-  match Hashtbl.find_opt c.buffer (seq + 1) with
-  | Some next ->
-      Hashtbl.remove c.buffer (seq + 1);
-      deliver_in_order t c p ~src next
-  | None -> ()
-
-(* Batched-mode variant: same in-order/exactly-once machinery, but the
-   acknowledgement is cumulative and deferred via [schedule_ack]
-   instead of per-message and immediate. *)
-let rec deliver_in_order_batched t (c : conn) p ~src (msg : Message.t) =
-  let seq = msg.Message.seq in
-  c.next_expected <- seq + 1;
-  dispatch t (peer t p) ~src msg;
-  match Hashtbl.find_opt c.buffer (seq + 1) with
-  | Some next ->
-      Hashtbl.remove c.buffer (seq + 1);
-      deliver_in_order_batched t c p ~src next
-  | None -> ()
-
-let receive_sequenced t p ~src (msg : Message.t) =
-  let c = conn t p src in
-  let seq = msg.Message.seq in
-  let expected = c.next_expected in
-  if seq < expected then begin
-    (* Already delivered — a go-back-N re-ship or a lost ack.  Owe a
-       (cumulative) re-ack so the sender's window drains. *)
-    count_dup t p;
-    schedule_ack t ~at:p ~from:src c
-  end
-  else if seq > expected then begin
-    if Hashtbl.mem c.buffer seq then count_dup t p
-    else Hashtbl.replace c.buffer seq msg
-  end
-  else begin
-    deliver_in_order_batched t c p ~src msg;
-    schedule_ack t ~at:p ~from:src c
-  end
-
-let on_message t p ~src (msg : Message.t) =
-  match msg.Message.payload with
-  | Message.Batch { items; ack } ->
-      if ack > 0 then handle_cum_ack t ~at:p ~from:src ack;
-      List.iter
-        (fun item -> receive_sequenced t p ~src (Message.item_message item))
-        items
-  | Message.Ack { seq } when batched t -> handle_cum_ack t ~at:p ~from:src seq
-  | Message.Ack { seq } -> (
-      match conn_opt t p src with
-      | None -> ()
-      | Some c -> (
-          match Hashtbl.find_opt c.pending seq with
-          | None -> ()
-          | Some ps ->
-              ps.cancel_retry ();
-              Hashtbl.remove c.pending seq))
-  | _ when msg.Message.seq = 0 -> dispatch t (peer t p) ~src msg
-  | _ ->
-      let c = conn t p src in
-      let seq = msg.Message.seq in
-      let expected = c.next_expected in
-      if seq < expected then begin
-        (* Already delivered — the ack must have been lost.  Re-ack so
-           the sender stops retransmitting. *)
-        count_dup t p;
-        send_ack t ~src:p ~dst:src ~corr:msg.Message.corr seq
-      end
-      else if seq > expected then begin
-        if Hashtbl.mem c.buffer seq then count_dup t p
-        else Hashtbl.replace c.buffer seq msg
-      end
-      else deliver_in_order t c p ~src msg
-
 (* A crash wipes everything volatile the peer holds: its store,
-   registry, catalog, watchers — and the transport's in-flight state
-   on both sides of every conversation it participates in as the
-   crashed party.  The id generator and the sequence cursors are
-   durable (see [rel]); [failover_save] snapshots Σ members for a
-   later [failover_load] (wired up by {!Failover.enable} — without it
-   a restarted peer comes back empty). *)
+   registry, catalog, watchers — and the transport's volatile state
+   (see {!Transport.on_crash}).  The id generator, the sequence
+   cursors and the send logs are durable; [failover_save] snapshots Σ
+   members for a later [failover_load] (wired up by {!Failover.enable}
+   — without it a restarted peer comes back empty). *)
 let handle_crash t p =
   t.failover_save p;
-  (* Every conn (p, _) holds all of p's volatile transport roles: its
-     unbatched in-flight sends, its batching queues/windows, its
-     early-arrival buffers and its owed delayed acks.  Reset them in
-     place, keeping the durable cursors.  (Conns (_, p) belong to live
-     senders, which keep retransmitting toward the outage as they
-     should.) *)
-  let pi = Peer_id.index p in
-  Hashtbl.iter
-    (fun key (c : conn) ->
-      if key lsr 31 = pi then begin
-        Hashtbl.iter (fun _ (ps : pending_send) -> ps.cancel_retry ()) c.pending;
-        Hashtbl.reset c.pending;
-        c.queue <- [];
-        c.flush_pending <- false;
-        c.unacked <- [];
-        c.attempt <- 0;
-        c.cancel_retry ();
-        c.cancel_retry <- ignore;
-        Hashtbl.reset c.buffer;
-        c.ack_due <- false;
-        c.cancel_ack ();
-        c.cancel_ack <- ignore
-      end)
-    t.rel.conns;
+  Transport.on_crash t.rel p;
   let old = peer t p in
   set_peer t p (Peer.create ~gen:old.Peer.gen ~policy:old.Peer.policy p);
   (* The semantic cache is volatile: the replacement peer gets a fresh
@@ -1064,9 +591,8 @@ let handle_crash t p =
   attach_qcache t p
 
 (* Restart resynchronization (DESIGN.md §17).  A crash wipes the
-   crashed peer's pending transport sends — forwarded appends in
-   flight {e from} it are gone — and a long outage may have exhausted
-   retransmissions {e toward} it.  Re-shipping the whole replica over
+   crashed peer's replicas unless failover reloads them, and a long
+   outage may have exhausted retransmissions {e toward} it.  Re-shipping the whole replica over
    every forwarding link touching the restarted peer restores replica
    equality; [Migrate_doc]'s replace semantics make each re-ship
    idempotent, and Reliable FIFO sequences it correctly against any
@@ -1122,23 +648,11 @@ let create ?(response_delay_ms = 1.0) ?(cpu_ms_per_kb = 0.01)
       cpu_ms_per_kb;
       transport;
       wire;
-      rto_ms;
-      max_retries;
       flush_ms;
       ack_delay_ms;
       rel =
-        {
-          conns = Hashtbl.create 64;
-          retransmits = 0;
-          dup_suppressed = 0;
-          abandoned = 0;
-          acks_sent = 0;
-          batches_sent = 0;
-          batched_messages = 0;
-          piggybacked_acks = 0;
-          delayed_acks = 0;
-          dedup_shared_bytes = 0;
-        };
+        Transport.create ~sim ~transmit:(raw_send sim wire) ~rto_ms
+          ~max_retries ~flush_ms ~ack_delay_ms;
       failover_save = ignore;
       failover_load = ignore;
       qcache_capacity = None;
@@ -1150,12 +664,15 @@ let create ?(response_delay_ms = 1.0) ?(cpu_ms_per_kb = 0.01)
       (* The handler resolves the Peer.t at dispatch time: a crash
          replaces the record behind [p], and a stale capture here
          would resurrect pre-crash state. *)
-      Sim.set_handler sim p (fun ~src msg -> on_message t p ~src msg))
+      let deliver ~src msg = dispatch t (peer t p) ~src msg in
+      Sim.set_handler sim p (fun ~src msg ->
+          Transport.on_frame t.rel ~deliver ~at:p ~src msg))
     (Axml_net.Topology.peers topology);
   Sim.set_crash_hooks sim
     ~on_crash:(fun p -> handle_crash t p)
     ~on_restart:(fun p ->
       t.failover_load p;
+      Transport.on_restart t.rel p;
       resync_replicas t p);
   t
 

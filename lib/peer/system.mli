@@ -63,16 +63,17 @@ val create :
     bounds retransmissions per message (default 30) so a permanently
     unreachable destination cannot keep the run alive forever.
 
-    [flush_ms] and [ack_delay_ms] (defaults 0.0) switch the Reliable
-    transport into {e batched} mode when either is positive: sequenced
-    messages to the same destination are held for up to [flush_ms] and
-    coalesced into one {!Message.Batch} frame carrying a piggybacked
-    cumulative ack, with identical payload forests shipped once per
-    frame (transfer sharing, rule (13), at the transport layer);
-    standalone acks are deferred by [ack_delay_ms] and suppressed when
-    reverse traffic piggybacks them first.  At the defaults the
-    unbatched per-message protocol runs unchanged.  Both knobs are
-    ignored under [Raw].
+    [flush_ms] and [ack_delay_ms] (defaults 0.0) are the two
+    parameters of the Reliable transport ({!Transport}).  At [0.0]
+    each sequenced message ships at send time in its own
+    {!Message.Batch} frame and each delivering frame is acked at once.
+    A positive [flush_ms] holds sequenced messages to the same
+    destination for up to that long and coalesces them into one frame
+    carrying a piggybacked cumulative ack, with identical payload
+    forests shipped once per frame (transfer sharing, rule (13), at
+    the transport layer); a positive [ack_delay_ms] defers standalone
+    acks and drops them when reverse traffic piggybacks them first.
+    Both knobs are ignored under [Raw].
 
     [wire] (default [Xml]) selects the byte-accounting model — and,
     for [Binary_strict], routes every transmission through the binary
@@ -85,8 +86,8 @@ val transport : t -> transport
 val wire : t -> wire
 
 val flush_ms : t -> float
-(** The coalescing window ([0.0] = batching off unless
-    [ack_delay_ms] is set). *)
+(** The coalescing window ([0.0] = each message ships at send
+    time). *)
 
 val ack_delay_ms : t -> float
 (** The standalone-ack deferral ([0.0] = immediate acks). *)
@@ -225,9 +226,9 @@ val availability : t -> from:Peer_id.t -> Peer_id.t -> bool
 type reliability_counters = {
   retransmits : int;
   dup_suppressed : int;
-  abandoned : int;  (** sends given up after [max_retries] *)
+  abandoned : int;  (** messages given up after [max_retries] *)
   acks_sent : int;
-  batches_sent : int;  (** batch frames shipped (batched mode only) *)
+  batches_sent : int;  (** frames shipped, re-ships included *)
   batched_messages : int;
       (** logical messages those frames carried, re-ships included *)
   piggybacked_acks : int;
@@ -242,8 +243,7 @@ type reliability_counters = {
 
 val reliability_counters : t -> reliability_counters
 (** Always-on transport counters (also exported as [net/*] metrics
-    when {!Axml_obs.Metrics.default} is enabled).  The batching
-    counters stay 0 in unbatched mode. *)
+    when {!Axml_obs.Metrics.default} is enabled). *)
 
 (** {1 Running and observing} *)
 

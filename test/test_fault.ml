@@ -71,12 +71,12 @@ let chaos_property =
       in
       agrees ~reference:(List.assoc name (Lazy.force reference)) out fp)
 
-(* --- the chaos property, batched transport ------------------------- *)
+(* --- the chaos property, coalescing knobs ----------------------------- *)
 
-(* Same property, Reliable in batched mode: random coalescing windows
-   and ack delays on top of random faults must still reproduce the
-   fault-free forest and Σ fingerprint.  Knob value 0/0 is excluded by
-   construction (that is the unbatched property above); the arrays mix
+(* Same property with the transport's knobs on: random coalescing
+   windows and ack delays on top of random faults must still reproduce
+   the fault-free forest and Σ fingerprint.  Knob value 0/0 is excluded
+   by construction (that is the property above); the arrays mix
    flush-only, ack-delay-only and combined configurations. *)
 let flush_choices = [| 0.0; 0.5; 2.0; 5.0 |]
 let ack_choices = [| 1.0; 8.0; 20.0 |]
@@ -135,14 +135,14 @@ let batched_chaos_property =
    hot set — so the reference is computed per hotspot seed.
 
    Fault-plan shape: probabilistic faults quiet by 400 ms, crashes at
-   2000/2600 ms.  The gap is deliberate: a message dropped before the
-   quiet line has retried successfully by quiet + max-backoff
-   (32·rto = 1280 ms), so no crash can wipe a pending retransmission
-   whose sequence number the receiver still awaits — the one race the
-   WAL-modelled transport cannot heal (durable cursors, volatile
-   in-flight state).  Within that discipline, result equality under
-   crashes is a theorem; the directed placement tests cover the
-   crash-mid-handoff races themselves. *)
+   2000/2600 ms.  The gap keeps crashes out of the lossy window: a
+   message dropped before the quiet line has retried successfully by
+   quiet + max-backoff (32·rto = 1280 ms).  The transport itself heals
+   a crash inside the lossy window — its send log is durable and
+   re-shipped on restart, which the [transport] suite's endpoint
+   property checks — but this property keeps the shape it was written
+   with.  The directed placement tests cover the crash-mid-handoff
+   races themselves. *)
 
 module Placement = Runtime.Placement
 module Scenarios = Workload.Scenarios

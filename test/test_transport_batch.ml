@@ -1,10 +1,11 @@
-(* Batched reliable transport (DESIGN.md §13).
+(* The reliable transport's two parameters (DESIGN.md §13).
 
-   The batching layer is opt-in: with [flush_ms]/[ack_delay_ms] at
-   their 0.0 defaults the per-message Reliable protocol must run
-   unchanged, byte for byte.  With the knobs on, coalescing must cut
-   physical message counts (and the fixed envelope cost), delayed acks
-   must be piggybacked on reverse traffic or fired standalone, and
+   One window path carries every Reliable send.  At [flush_ms] =
+   [ack_delay_ms] = 0 (the defaults) each sequenced message leaves in
+   its own frame at send time and every delivering frame is acked at
+   once.  With the knobs on, coalescing must cut physical message
+   counts (and the fixed envelope cost), delayed acks must be
+   piggybacked on reverse traffic or fired standalone, and
    within-frame transfer sharing must dedup identical forests — all
    without changing the delivered results or the final Σ. *)
 
@@ -84,7 +85,7 @@ let test_batch_dedup () =
     (no_dedup - forest_bytes + Message.backref_bytes)
     (Message.bytes payload)
 
-(* --- default knobs: the unbatched path, unchanged ------------------ *)
+(* --- default knobs: one frame per message, acked at once ------------ *)
 
 let run_plan ?flush_ms ?ack_delay_ms plan =
   let sys, _ =
@@ -107,12 +108,32 @@ let test_default_knobs_identical () =
     (out_a.Exec.stats = out_b.Exec.stats);
   Alcotest.(check string) "identical fingerprints" fp_a fp_b;
   Alcotest.(check bool) "identical reliability counters" true (rc_a = rc_b);
-  Alcotest.(check int) "no batch frames" 0 rc_a.System.batches_sent;
+  Alcotest.(check int) "one item per frame" rc_a.System.batches_sent
+    rc_a.System.batched_messages;
   Alcotest.(check int) "no piggybacked acks" 0 rc_a.System.piggybacked_acks;
   Alcotest.(check int) "no delayed acks" 0 rc_a.System.delayed_acks;
-  Alcotest.(check int) "physical = logical messages"
-    out_a.Exec.stats.Net.Stats.messages
-    out_a.Exec.stats.Net.Stats.payload_messages
+  (* A lone send: one frame leaving at send time and its immediate
+     ack — two events, no flush or ack timer, and the retransmission
+     timer cancelled by the ack. *)
+  let sys =
+    System.create ~transport:System.Reliable (mesh [ "p1"; "p2" ])
+  in
+  let stats = Net.Sim.stats (System.sim sys) in
+  Net.Stats.set_tracing stats true;
+  System.send sys ~src:p1 ~dst:p2
+    (Message.Stream { key = 0; forest = Message.now []; final = true });
+  let _, events = System.run sys in
+  Alcotest.(check int) "frame and ack only" 2 events;
+  (match Net.Stats.trace stats with
+  | [ frame; ack ] ->
+      Alcotest.(check (float 0.0)) "frame leaves at send time" 0.0
+        frame.Net.Stats.at_ms;
+      Alcotest.(check bool) "ack flows back" true
+        (Net.Peer_id.equal ack.Net.Stats.src p2)
+  | l -> Alcotest.failf "expected 2 traced frames, got %d" (List.length l));
+  let rc = System.reliability_counters sys in
+  Alcotest.(check (list int)) "frames, items, acks" [ 1; 1; 1 ]
+    [ rc.System.batches_sent; rc.System.batched_messages; rc.System.acks_sent ]
 
 (* --- coalescing on a chatty stream --------------------------------- *)
 
@@ -128,13 +149,13 @@ let streamer k =
           Xml.Tree.element_of_string ~gen:g "s"
             [ Xml.Tree.text (string_of_int i) ]))
 
-let stream_system ?flush_ms ?ack_delay_ms () =
+let stream_system ?(items = 30) ?flush_ms ?ack_delay_ms () =
   let sys =
     System.create ~transport:System.Reliable ~response_delay_ms:1.0 ?flush_ms
       ?ack_delay_ms
       (mesh ~latency:10.0 ~bandwidth:100.0 [ "p1"; "p2" ])
   in
-  System.add_service sys p2 (streamer 30);
+  System.add_service sys p2 (streamer items);
   let inbox_gen = Xml.Node_id.Gen.create ~namespace:"batch-inbox" in
   let inbox = Xml.Tree.element_of_string ~gen:inbox_gen "inbox" [] in
   let inbox_id = Option.get (Xml.Tree.id inbox) in
@@ -148,8 +169,8 @@ let stream_plan inbox_id =
        ~provider:(Names.At p2) ~service:"streamer" [])
     ~at:p1
 
-let run_stream ?flush_ms ?ack_delay_ms ?fault () =
-  let sys, inbox_id = stream_system ?flush_ms ?ack_delay_ms () in
+let run_stream ?items ?flush_ms ?ack_delay_ms ?fault () =
+  let sys, inbox_id = stream_system ?items ?flush_ms ?ack_delay_ms () in
   Option.iter (System.inject_faults sys) fault;
   let out = Exec.run_to_quiescence sys ~ctx:p1 (stream_plan inbox_id) in
   Alcotest.(check bool) "quiescent" true (out.Exec.termination = `Quiescent);
@@ -241,7 +262,8 @@ let suite =
   [
     ("batch frame byte accounting", `Quick, test_batch_bytes);
     ("batch dedup back-references", `Quick, test_batch_dedup);
-    ("default knobs run the unbatched path", `Quick, test_default_knobs_identical);
+    ("default knobs run the single path at 0/0", `Quick,
+      test_default_knobs_identical);
     ("coalescing cuts messages and bytes", `Quick, test_coalescing_reduces_messages);
     ("acks piggyback on reverse batches", `Quick, test_piggybacked_acks);
     ("identical forests dedup within a frame", `Quick, test_dedup_in_flight);
