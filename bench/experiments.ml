@@ -580,7 +580,7 @@ let e9 () =
 (* --- E10: optimizer end-to-end ----------------------------------- *)
 
 let e10 () =
-  section "E10 Optimizer: naive vs greedy vs exhaustive (+ablation)";
+  section "E10 Optimizer: naive vs best-first vs exhaustive";
   Printf.printf
     "the E1 plan under the cost model; estimated cost, plans explored, and\n\
      the simulator-measured bytes of each strategy's chosen plan\n\n";
@@ -596,12 +596,10 @@ let e10 () =
   let strategies =
     [
       ("naive (no search)", None);
-      ("greedy(5)", Some (Algebra.Optimizer.Greedy { max_steps = 5 }));
       ("exhaustive(1)", Some (Algebra.Optimizer.Exhaustive { depth = 1 }));
       ("exhaustive(2)", Some (Algebra.Optimizer.Exhaustive { depth = 2 }));
       ( "best-first(24)",
         Some (Algebra.Optimizer.Best_first { max_expansions = 24 }) );
-      ("beam(4,2)", Some (Algebra.Optimizer.Beam { width = 4; depth = 2 }));
     ]
   in
   let reference = ref [] in
@@ -636,8 +634,8 @@ let e10 () =
       [ "strategy"; "plans"; "est B"; "measured B"; "sim ms"; "search+run wall ms" ]
     rows;
   Printf.printf
-    "\nshape: both strategies find the pushed plan; exhaustive explores far\n\
-     more plans for the same answer — greedy is the practical default\n"
+    "\nshape: every search finds the pushed plan; best-first, the runtime's\n\
+     default search, lands on exhaustive(2)'s plan\n"
 
 (* --- E11: lazy vs eager call activation -------------------------- *)
 
@@ -930,12 +928,11 @@ let e14 () =
 (* --- E15: the unified planner ------------------------------------ *)
 
 let e15 () =
-  section "E15 Planner: fingerprint memo ablation and search strategies";
+  section "E15 Planner: fingerprint memo and search strategies";
   Printf.printf
-    "part A — the visited set: exhaustive(2) with the seed's O(n^2) list\n\
-     scan vs the fingerprint-bucketed memo.  Same plan space, same best\n\
-     cost; the memo pays for structural Expr.equal only on hash-bucket\n\
-     collisions.\n\n";
+    "part A — the visited set: exhaustive(2) through the fingerprint-\n\
+     bucketed memo, which pays for structural Expr.equal only on\n\
+     hash-bucket collisions.\n\n";
   let q = Workload.Xml_gen.selection_query () in
   let join =
     Query.Parser.parse_exn
@@ -958,48 +955,32 @@ let e15 () =
       ~doc_bytes:(fun _ -> 60_000)
       (Net.Topology.full_mesh ~link:default_link [ p1; p2; p3 ])
   in
-  let timed_search ~visited strategy plan =
+  let timed_search strategy plan =
     let eq0 = Expr.equal_calls () in
     let t0 = Sys.time () in
-    let r = Algebra.Optimizer.optimize ~env ~ctx:p1 ~visited strategy plan in
+    let r = Algebra.Optimizer.optimize ~env ~ctx:p1 strategy plan in
     ((Sys.time () -. t0) *. 1000.0, Expr.equal_calls () - eq0, r)
   in
   let rows =
-    List.concat_map
+    List.map
       (fun (name, plan) ->
-        let strategy = Algebra.Optimizer.Exhaustive { depth = 2 } in
-        let ms_l, eq_l, r_l = timed_search ~visited:`List strategy plan in
-        let ms_f, eq_f, r_f = timed_search ~visited:`Fingerprint strategy plan in
-        if
-          r_l.Algebra.Optimizer.explored <> r_f.Algebra.Optimizer.explored
-          || Algebra.Cost.weighted r_l.cost <> Algebra.Cost.weighted r_f.cost
-        then Printf.printf "  !! E15 memo/list divergence on %s\n" name;
+        let ms, eq, r =
+          timed_search (Algebra.Optimizer.Exhaustive { depth = 2 }) plan
+        in
         [
-          [
-            name; "list"; string_of_int r_l.Algebra.Optimizer.explored;
-            string_of_int eq_l; fmt_ms ms_l;
-            Printf.sprintf "%.0f" (Algebra.Cost.weighted r_l.cost);
-          ];
-          [
-            name; "fingerprint"; string_of_int r_f.Algebra.Optimizer.explored;
-            string_of_int eq_f; fmt_ms ms_f;
-            Printf.sprintf "%.0f" (Algebra.Cost.weighted r_f.cost);
-          ];
+          name; string_of_int r.Algebra.Optimizer.explored; string_of_int eq;
+          fmt_ms ms; Printf.sprintf "%.0f" (Algebra.Cost.weighted r.cost);
         ])
       fixtures
   in
-  table
-    ~headers:[ "plan"; "visited"; "explored"; "Expr.equal"; "search ms"; "best cost" ]
-    rows;
+  table ~headers:[ "plan"; "explored"; "Expr.equal"; "search ms"; "best cost" ] rows;
   Printf.printf
     "\npart B — strategies on the same space: expansions and plans explored\n\
      to reach (or approach) the exhaustive-optimal cost.\n\n";
   let strategies =
     [
       Algebra.Optimizer.Exhaustive { depth = 2 };
-      Algebra.Optimizer.Greedy { max_steps = 4 };
       Algebra.Optimizer.Best_first { max_expansions = 8 };
-      Algebra.Optimizer.Beam { width = 4; depth = 2 };
     ]
   in
   let rows =
@@ -1013,7 +994,7 @@ let e15 () =
         in
         List.map
           (fun strategy ->
-            let ms, _, r = timed_search ~visited:`Fingerprint strategy plan in
+            let ms, _, r = timed_search strategy plan in
             [
               name;
               Algebra.Optimizer.strategy_name strategy;
@@ -1441,9 +1422,10 @@ let e17 ?(smoke = false) () =
     (if smoke then "E17  indexed store vs naive evaluation (smoke)"
      else "E17  indexed store vs naive evaluation");
   Printf.printf
-    "part A — one query, two engines over the same document: the Naive\n\
-     engine is the seed interpreter (full traversal per descendant step),\n\
-     Indexed serves descendant steps from the store's structural index.\n\
+    "part A — one query, two evaluators over the same document: naive is\n\
+     the seed interpreter Query.Eval (full traversal per descendant step),\n\
+     indexed is Query.Compile serving descendant steps from the store's\n\
+     structural index.\n\
      \"rare-label\" binds //promo (matches only the selected fraction);\n\
      \"attr-sel\" binds //item and filters on an attribute (candidate\n\
      work dominates — the honest case where indexing helps less).\n\n";
@@ -1467,13 +1449,11 @@ let e17 ?(smoke = false) () =
               (fun (qname, q) ->
                 let naive_ms, out_n =
                   best_ms (fun () ->
-                      Query.Compile.eval ~engine:Query.Compile.Naive
-                        ~gen:(eval_gen ()) q [ [ doc ] ])
+                      Query.Eval.eval ~gen:(eval_gen ()) q [ [ doc ] ])
                 in
                 let indexed_ms, out_i =
                   best_ms (fun () ->
-                      Query.Compile.eval_over ~engine:Query.Compile.Indexed
-                        ~gen:(eval_gen ()) q
+                      Query.Compile.eval_over ~gen:(eval_gen ()) q
                         [ ([ doc ], Some ix) ])
                 in
                 let identical =
@@ -1580,13 +1560,9 @@ let e17 ?(smoke = false) () =
         let rebuild_per = !rebuild_ms /. float_of_int (max 1 !rebuild_samples) in
         let q = Workload.Xml_gen.selection_query () in
         let out_i =
-          Query.Compile.eval_over ~engine:Query.Compile.Indexed ~gen:(eval_gen ())
-            q [ ([ !doc ], Some ix) ]
+          Query.Compile.eval_over ~gen:(eval_gen ()) q [ ([ !doc ], Some ix) ]
         in
-        let out_n =
-          Query.Compile.eval ~engine:Query.Compile.Naive ~gen:(eval_gen ()) q
-            [ [ !doc ] ]
-        in
+        let out_n = Query.Eval.eval ~gen:(eval_gen ()) q [ [ !doc ] ] in
         let identical =
           Xml.Serializer.forest_to_string out_i
           = Xml.Serializer.forest_to_string out_n

@@ -146,7 +146,7 @@ let bench_e10 () =
   let naive = Expr.query_at sel_query ~at:p1 ~args:[ Expr.doc "cat" ~at:"p2" ] in
   ignore
     (Algebra.Optimizer.optimize ~env ~ctx:p1
-       (Algebra.Optimizer.Greedy { max_steps = 4 })
+       (Algebra.Optimizer.Exhaustive { depth = 2 })
        naive)
 
 let bench_e15 () =
@@ -235,7 +235,7 @@ let micro_tests =
           (Doc.Names.Doc_ref.at_peer "cat" ~peer:"p2");
         ignore (run_plan sys (Expr.doc_any "m")));
     t "E9 incremental push x8" bench_e9;
-    t "E10 greedy optimizer" bench_e10;
+    t "E10 exhaustive optimizer" bench_e10;
     t "E15 best-first planner" bench_e15;
     t "expr.fingerprint naive plan" (fun () ->
         ignore

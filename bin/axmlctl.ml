@@ -65,21 +65,6 @@ let query_cmd =
   let files =
     Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE" ~doc:"Input documents")
   in
-  let engine =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("indexed", Query.Compile.Indexed); ("naive", Query.Compile.Naive);
-             ])
-          Query.Compile.Indexed
-      & info [ "engine" ] ~docv:"naive|indexed"
-          ~doc:
-            "Evaluation engine: $(b,indexed) compiles the query and serves \
-             descendant steps from a structural index, $(b,naive) is the \
-             reference interpreter (ablation / cross-check)")
-  in
   let profile =
     Arg.(
       value & flag
@@ -149,7 +134,7 @@ let query_cmd =
     Format.printf "%a@." Runtime.Profiler.pp_report report;
     if not (Runtime.Profiler.sums_to_root report) then exit 1
   in
-  let run qtext engine profile files =
+  let run qtext profile files =
     if profile then run_profile qtext files
     else begin
       let gen = Xml.Node_id.Gen.create ~namespace:"cli" in
@@ -175,14 +160,14 @@ let query_cmd =
                 exit 1)
           files
       in
-      let out = Query.Compile.eval ~engine ~gen q inputs in
+      let out = Query.Compile.eval ~gen q inputs in
       List.iter (fun t -> print_string (Xml.Serializer.to_string_pretty t)) out;
       Format.printf "; %d result(s)@." (List.length out)
     end
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Evaluate a query over XML documents")
-    Term.(const run $ qarg $ engine $ profile $ files)
+    Term.(const run $ qarg $ profile $ files)
 
 (* --- shared plan options --------------------------------------- *)
 
@@ -229,34 +214,25 @@ let rules_cmd =
 
 (* --- optimize / explain ------------------------------------------ *)
 
+(* The runtime's search ([Exec.default_strategy]); only its budget is
+   a knob, so by default the plan printed is the plan [run_optimized]
+   executes. *)
 let strategy_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("greedy", "greedy");
-             ("exhaustive", "exhaustive");
-             ("best-first", "best-first");
-             ("beam", "beam");
-           ])
-        "greedy"
-    & info [ "strategy" ]
-        ~docv:"greedy|exhaustive|best-first|beam"
-        ~doc:"Search strategy")
-
-let depth_arg =
-  Arg.(
-    value & opt int 3
-    & info [ "depth" ] ~doc:"Exhaustive/beam depth, greedy steps")
-
-let width_arg =
-  Arg.(value & opt int 4 & info [ "width" ] ~doc:"Beam width")
-
-let expansions_arg =
-  Arg.(
-    value & opt int 64
-    & info [ "expansions" ] ~doc:"Best-first expansion budget")
+  let expansions =
+    Arg.(
+      value
+      & opt
+          (some
+             ~none:(Algebra.Optimizer.strategy_name Runtime.Exec.default_strategy)
+             int)
+          None
+      & info [ "expansions" ] ~docv:"N" ~doc:"Best-first expansion budget")
+  in
+  let strategy = function
+    | None -> Runtime.Exec.default_strategy
+    | Some n -> Algebra.Optimizer.Best_first { max_expansions = n }
+  in
+  Term.(const strategy $ expansions)
 
 let latency_arg =
   Arg.(value & opt float 10.0 & info [ "latency" ] ~doc:"Mesh latency (ms)")
@@ -269,12 +245,6 @@ let doc_bytes_arg =
   Arg.(
     value & opt int 16384
     & info [ "doc-bytes" ] ~doc:"Assumed size of referenced documents")
-
-let parse_strategy ~depth ~width ~expansions = function
-  | "exhaustive" -> Algebra.Optimizer.Exhaustive { depth }
-  | "best-first" -> Algebra.Optimizer.Best_first { max_expansions = expansions }
-  | "beam" -> Algebra.Optimizer.Beam { width; depth }
-  | _ -> Algebra.Optimizer.Greedy { max_steps = depth }
 
 (* The synthetic mesh always covers the peers the plan itself
    mentions — a plan referencing a peer missing from --peers would
@@ -294,11 +264,9 @@ let mesh_env ~plan ~peers ~latency ~bandwidth ~doc_bytes =
   Algebra.Cost.default_env ~doc_bytes:(fun _ -> doc_bytes) topo
 
 let optimize_cmd =
-  let run plan peers ctx strategy depth width expansions latency bandwidth
-      doc_bytes =
+  let run plan peers ctx strategy latency bandwidth doc_bytes =
     let e = load_plan plan in
     let env = mesh_env ~plan:e ~peers:(ctx :: peers) ~latency ~bandwidth ~doc_bytes in
-    let strategy = parse_strategy ~depth ~width ~expansions strategy in
     let result =
       Algebra.Optimizer.optimize ~env ~ctx:(Net.Peer_id.of_string ctx) strategy e
     in
@@ -309,8 +277,8 @@ let optimize_cmd =
   Cmd.v
     (Cmd.info "optimize" ~doc:"Optimize a serialized plan")
     Term.(
-      const run $ plan_arg $ peers_arg $ ctx_arg $ strategy_arg $ depth_arg
-      $ width_arg $ expansions_arg $ latency_arg $ bandwidth_arg $ doc_bytes_arg)
+      const run $ plan_arg $ peers_arg $ ctx_arg $ strategy_arg $ latency_arg
+      $ bandwidth_arg $ doc_bytes_arg)
 
 let explain_cmd =
   let json =
@@ -318,11 +286,9 @@ let explain_cmd =
       value & flag
       & info [ "json" ] ~doc:"Emit the explain record as a JSON object")
   in
-  let run plan peers ctx strategy depth width expansions latency bandwidth
-      doc_bytes json =
+  let run plan peers ctx strategy latency bandwidth doc_bytes json =
     let e = load_plan plan in
     let env = mesh_env ~plan:e ~peers:(ctx :: peers) ~latency ~bandwidth ~doc_bytes in
-    let strategy = parse_strategy ~depth ~width ~expansions strategy in
     let result =
       Algebra.Planner.plan ~env ~ctx:(Net.Peer_id.of_string ctx) strategy e
     in
@@ -335,9 +301,8 @@ let explain_cmd =
          "Run the unified planner (rewrite search + per-site query \
           optimization) and print its explain record")
     Term.(
-      const run $ plan_arg $ peers_arg $ ctx_arg $ strategy_arg $ depth_arg
-      $ width_arg $ expansions_arg $ latency_arg $ bandwidth_arg $ doc_bytes_arg
-      $ json)
+      const run $ plan_arg $ peers_arg $ ctx_arg $ strategy_arg $ latency_arg
+      $ bandwidth_arg $ doc_bytes_arg $ json)
 
 (* --- demo -------------------------------------------------------- *)
 

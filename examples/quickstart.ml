@@ -76,7 +76,7 @@ let () =
   in
   let result =
     Algebra.Optimizer.optimize ~env ~ctx:alice
-      (Algebra.Optimizer.Greedy { max_steps = 4 })
+      Runtime.Exec.default_strategy
       plan
   in
   Format.printf "@.naive plan:     %a@." Algebra.Expr.pp plan;

@@ -3,11 +3,7 @@ module Metrics = Axml_obs.Metrics
 
 type strategy =
   | Exhaustive of { depth : int }
-  | Greedy of { max_steps : int }
   | Best_first of { max_expansions : int }
-  | Beam of { width : int; depth : int }
-
-type visited_impl = [ `Fingerprint | `List ]
 
 type step = { rule : string; cost : Cost.t }
 
@@ -22,10 +18,8 @@ type result = {
 
 let strategy_name = function
   | Exhaustive { depth } -> Printf.sprintf "exhaustive(depth=%d)" depth
-  | Greedy { max_steps } -> Printf.sprintf "greedy(steps=%d)" max_steps
   | Best_first { max_expansions } ->
       Printf.sprintf "best-first(expansions=%d)" max_expansions
-  | Beam { width; depth } -> Printf.sprintf "beam(width=%d,depth=%d)" width depth
 
 (* Auxiliary materializations introduced by rules (10) and (13) need
    fresh names.  Deriving the name from the *parent* expression's
@@ -42,49 +36,34 @@ let fresh_for parent =
     incr k;
     Printf.sprintf "_tmp_s%06x_%d" h !k
 
-(* The visited set over plans.  [`Fingerprint] buckets candidates by
-   {!Expr.fingerprint} in a hashtable and runs the full structural
-   {!Expr.equal} only against same-fingerprint bucket members;
-   [`List] is the seed's O(n²) scan, kept for the planner ablation
-   benchmark (E15). *)
+(* The visited set over plans: candidates are bucketed by
+   {!Expr.fingerprint}, and the full structural {!Expr.equal} runs only
+   against same-fingerprint bucket members. *)
 module Visited = struct
-  type t =
-    | List of Expr.t list ref
-    | Table of (int, (Expr.Fingerprint.t * Expr.t) list) Hashtbl.t
+  type t = (int, (Expr.Fingerprint.t * Expr.t) list) Hashtbl.t
 
-  let create = function
-    | `List -> List (ref [])
-    | `Fingerprint -> Table (Hashtbl.create 64)
+  let create () : t = Hashtbl.create 64
 
   (* [add t e] is true when [e] was not seen before (and records it). *)
   let add t e =
-    match t with
-    | List seen ->
-        if List.exists (Expr.equal e) !seen then false
-        else begin
-          seen := e :: !seen;
-          true
-        end
-    | Table tbl ->
-        let fp = Expr.fingerprint e in
-        let bucket =
-          Option.value ~default:[] (Hashtbl.find_opt tbl fp.Expr.Fingerprint.hash)
-        in
-        if
-          List.exists
-            (fun (fp', e') -> Expr.Fingerprint.equal fp fp' && Expr.equal e e')
-            bucket
-        then false
-        else begin
-          Hashtbl.replace tbl fp.Expr.Fingerprint.hash ((fp, e) :: bucket);
-          true
-        end
+    let fp = Expr.fingerprint e in
+    let bucket =
+      Option.value ~default:[] (Hashtbl.find_opt t fp.Expr.Fingerprint.hash)
+    in
+    if
+      List.exists
+        (fun (fp', e') -> Expr.Fingerprint.equal fp fp' && Expr.equal e e')
+        bucket
+    then false
+    else begin
+      Hashtbl.replace t fp.Expr.Fingerprint.hash ((fp, e) :: bucket);
+      true
+    end
 end
 
 let default_objective c = Cost.weighted c
 
-let optimize ~env ~ctx ?(objective = default_objective)
-    ?(visited : visited_impl = `Fingerprint) ?peers strategy expr =
+let optimize ~env ~ctx ?(objective = default_objective) ?peers strategy expr =
   let peers =
     match peers with
     | Some ps -> ps
@@ -139,36 +118,10 @@ let optimize ~env ~ctx ?(objective = default_objective)
     r
   in
   match strategy with
-  | Greedy { max_steps } ->
-      let rec descend current current_cost rev_trace steps =
-        if steps >= max_steps then (current, current_cost, rev_trace)
-        else begin
-          let candidates = expand current in
-          explored := !explored + List.length candidates;
-          let best =
-            List.fold_left
-              (fun acc (r : Rewrite.rewrite) ->
-                let c = cost_of r.result in
-                match acc with
-                | Some (_, _, best_c) when objective c >= objective best_c ->
-                    acc
-                | Some _ | None ->
-                    if objective c < objective current_cost then
-                      Some (r.rule, r.result, c)
-                    else acc)
-              None candidates
-          in
-          match best with
-          | None -> (current, current_cost, rev_trace)
-          | Some (rule, next, c) ->
-              descend next c ({ rule; cost = c } :: rev_trace) (steps + 1)
-        end
-      in
-      finish (descend expr initial_cost [] 0)
   | Exhaustive { depth } ->
       (* Breadth-first enumeration of the rewrite closure; remember
          the cheapest plan and the rule path that produced it. *)
-      let seen = Visited.create visited in
+      let seen = Visited.create () in
       ignore (Visited.add seen expr);
       let best = ref (expr, initial_cost, []) in
       let frontier = ref [ (expr, []) ] in
@@ -212,7 +165,7 @@ let optimize ~env ~ctx ?(objective = default_objective)
          [plateau_limit] consecutive steps are not re-enqueued (their
          costs still count toward the best plan found). *)
       let plateau_limit = 4 in
-      let seen = Visited.create visited in
+      let seen = Visited.create () in
       ignore (Visited.add seen expr);
       let queue = Axml_net.Pqueue.create () in
       Axml_net.Pqueue.push queue
@@ -242,43 +195,6 @@ let optimize ~env ~ctx ?(objective = default_objective)
                       (r.result, c, rev_path, slack)
                 end)
               (expand e)
-      done;
-      finish !best
-  | Beam { width; depth } ->
-      (* Level-synchronous like Exhaustive, but each level keeps only
-         the [width] cheapest new plans as the next frontier. *)
-      let seen = Visited.create visited in
-      ignore (Visited.add seen expr);
-      let best = ref (expr, initial_cost, []) in
-      let frontier = ref [ (expr, []) ] in
-      let level = ref 0 in
-      while !level < depth && !frontier <> [] do
-        incr level;
-        let next = ref [] in
-        List.iter
-          (fun (e, rev_path) ->
-            List.iter
-              (fun (r : Rewrite.rewrite) ->
-                if Visited.add seen r.result then begin
-                  incr explored;
-                  let c = cost_of r.result in
-                  let rev_path = { rule = r.rule; cost = c } :: rev_path in
-                  let _, best_c, _ = !best in
-                  if objective c < objective best_c then
-                    best := (r.result, c, rev_path);
-                  next := (objective c, (r.result, rev_path)) :: !next
-                end)
-              (expand e))
-          !frontier;
-        (* Stable sort on the generation-ordered list: among equal
-           objectives, earlier-generated plans win — deterministic. *)
-        let ranked =
-          List.stable_sort
-            (fun (a, _) (b, _) -> Float.compare a b)
-            (List.rev !next)
-        in
-        frontier :=
-          List.filteri (fun i _ -> i < width) ranked |> List.map snd
       done;
       finish !best
 

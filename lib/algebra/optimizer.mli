@@ -2,39 +2,24 @@
 
     Searches the space of equivalent expressions generated by
     {!module:Rewrite} for a plan with minimal estimated {!module:Cost}.
-    Four strategies, ablated in experiments E10 and E15:
+    Two strategies:
 
-    - {!Exhaustive}: breadth-first closure of the rewrite relation up
-      to a depth bound; optimal within the bound, exponential in it.
-    - {!Greedy}: steepest-descent — apply the single rewrite that most
-      improves the objective until a local optimum.
     - {!Best_first}: cheapest-first expansion on a priority queue of
-      unexpanded plans, bounded by an expansion budget; reaches the
-      exhaustive optimum with far fewer expansions when the objective
-      is informative.
-    - {!Beam}: level-synchronous like {!Exhaustive}, but only the
-      [width] cheapest plans of each level seed the next — bounded
-      memory at bounded regret.
+      unexpanded plans, bounded by an expansion budget — the search the
+      runtime plans with ([Exec.default_strategy] in the runtime);
+    - {!Exhaustive}: breadth-first closure of the rewrite relation up
+      to a depth bound; optimal within the bound, exponential in it —
+      the oracle tests and benchmarks compare against.
 
-    All strategies deduplicate plans through a fingerprint-bucketed
-    visited set ({!Expr.fingerprint}): the full structural
-    {!Expr.equal} runs only on hash collisions. *)
+    Both deduplicate plans through a fingerprint-bucketed visited set
+    ({!Expr.fingerprint}): the full structural {!Expr.equal} runs only
+    on hash collisions. *)
 
 type strategy =
   | Exhaustive of { depth : int }
-  | Greedy of { max_steps : int }
   | Best_first of { max_expansions : int }
       (** Expand at most [max_expansions] plans, always the cheapest
           unexpanded one first. *)
-  | Beam of { width : int; depth : int }
-      (** Keep the [width] cheapest new plans per level, for [depth]
-          levels. *)
-
-type visited_impl = [ `Fingerprint | `List ]
-(** Visited-set implementation: [`Fingerprint] (default) is the
-    hashtable memo keyed on {!Expr.fingerprint}; [`List] is the seed's
-    linear scan with full structural comparison, kept for the E15
-    ablation. *)
 
 type step = { rule : string; cost : Cost.t }
 
@@ -54,7 +39,6 @@ val optimize :
   env:Cost.env ->
   ctx:Expr.Peer_id.t ->
   ?objective:(Cost.t -> float) ->
-  ?visited:visited_impl ->
   ?peers:Expr.Peer_id.t list ->
   strategy ->
   Expr.t ->

@@ -1,5 +1,6 @@
 module Trace = Axml_obs.Trace
 module Metrics = Axml_obs.Metrics
+module Exporter = Axml_obs.Exporter
 
 type result = {
   plan : Expr.t;
@@ -37,11 +38,11 @@ let optimize_queries ?stats expr =
   let e' = walk expr in
   (e', !changed)
 
-let plan ~env ~ctx ?objective ?visited ?peers ?stats strategy expr =
+let plan ~env ~ctx ?peers ?stats strategy expr =
   let metering = Metrics.is_on Metrics.default in
   let t0 = if metering then Trace.wall_ms () else 0.0 in
   let equal_before = Expr.equal_calls () in
-  let search = Optimizer.optimize ~env ~ctx ?objective ?visited ?peers strategy expr in
+  let search = Optimizer.optimize ~env ~ctx ?peers strategy expr in
   let equal_calls = Expr.equal_calls () - equal_before in
   let plan, queries_optimized = optimize_queries ?stats search.Optimizer.plan in
   if metering then begin
@@ -85,23 +86,8 @@ let pp_result fmt r =
   Format.fprintf fmt "plan: %a@]" Expr.pp r.plan
 
 (* Minimal JSON emission — the toolkit deliberately has no JSON
-   dependency. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
+   dependency.  Strings go through the exporter's escaper, which keeps
+   the output pure ASCII whatever bytes a document name carries. *)
 let json_cost (c : Cost.t) =
   Printf.sprintf
     {|{"bytes":%d,"messages":%d,"latency_ms":%.3f,"result_bytes":%d}|} c.bytes
@@ -111,15 +97,15 @@ let explain_json r =
   let trace =
     r.search.Optimizer.trace
     |> List.map (fun (s : Optimizer.step) ->
-           Printf.sprintf {|{"rule":"%s","cost":%s}|} (json_escape s.rule)
-             (json_cost s.cost))
+           Printf.sprintf {|{"rule":"%s","cost":%s}|}
+             (Exporter.json_escape s.rule) (json_cost s.cost))
     |> String.concat ","
   in
   Printf.sprintf
     {|{"strategy":"%s","initial_cost":%s,"search_cost":%s,"final_cost":%s,"explored":%d,"expansions":%d,"equal_calls":%d,"queries_optimized":%d,"trace":[%s],"plan":"%s"}|}
-    (json_escape r.strategy)
+    (Exporter.json_escape r.strategy)
     (json_cost r.search.Optimizer.initial_cost)
     (json_cost r.search.Optimizer.cost)
     (json_cost r.cost) r.search.Optimizer.explored r.search.Optimizer.expansions
     r.equal_calls r.queries_optimized trace
-    (json_escape (Expr.to_string r.plan))
+    (Exporter.json_escape (Expr.to_string r.plan))

@@ -27,16 +27,13 @@ type result = {
   queries_optimized : int;
       (** Embedded queries changed by the site-local pass. *)
   equal_calls : int;
-      (** {!Expr.equal} invocations the search paid for — the
-          planner's visited-set ablation metric. *)
+      (** {!Expr.equal} invocations the search paid for. *)
   strategy : string;  (** {!Optimizer.strategy_name} of the search. *)
 }
 
 val plan :
   env:Cost.env ->
   ctx:Expr.Peer_id.t ->
-  ?objective:(Cost.t -> float) ->
-  ?visited:Optimizer.visited_impl ->
   ?peers:Expr.Peer_id.t list ->
   ?stats:Axml_query.Selectivity.Stats.t list ->
   Optimizer.strategy ->

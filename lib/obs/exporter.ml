@@ -1,5 +1,5 @@
 (* Minimal JSON emission — the toolkit deliberately has no JSON
-   dependency (same convention as Planner.explain_json).
+   dependency (Planner.explain_json uses this escaper too).
 
    Escaping covers the full non-printable range on BOTH sides: control
    characters below 0x20 and every byte at or above 0x7F.  Span and

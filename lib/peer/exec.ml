@@ -524,57 +524,13 @@ let run_to_quiescence ?(reset_stats = true) ?max_events sys ~ctx expr =
   in
   if Trace.enabled () then Trace.with_corr (Trace.fresh_corr ()) go else go ()
 
-(* Cross-plan rule (13): rewrite every subplan matching a live cache
-   entry into a literal read of the cached lforest.  Probes run with
-   hit/miss accounting suppressed ([Qcache.probe]) because a missed
-   subplan is probed again by [eval] — only the hits, whose subtrees
-   [eval] never sees, are recorded here. *)
-let apply_qcache_rewrites sys ~ctx plan =
-  match (System.peer sys ctx).Peer.qcache with
-  | None -> (plan, 0)
-  | Some cache ->
-      let current = current_version sys in
-      let gen = System.gen_of sys ctx in
-      let hits = ref 0 in
-      let rec go e =
-        match e with
-        | Expr.Data_at _ -> e
-        | _ -> (
-            match Expr.cache_deps e with
-            | None -> Expr.map_children go e
-            | Some _ -> (
-                let fp = qfp (Expr.fingerprint e) in
-                match Qcache.probe cache ~fp ~expr:e ~current with
-                | Some forest ->
-                    incr hits;
-                    Qcache.record_hit cache;
-                    if Trace.sampled () then
-                      Trace.instant ~cat:"qcache"
-                        ~peer:(Peer_id.to_string ctx)
-                        ~ts:(System.now_ms sys)
-                        ~args:[ ("expr", Expr.to_string e) ]
-                        "plan_rewrite";
-                    Expr.Data_at { forest = Forest.copy ~gen forest; at = ctx }
-                | None -> Expr.map_children go e))
-      in
-      let plan = go plan in
-      (plan, !hits)
+let default_strategy = Axml_algebra.Optimizer.Best_first { max_expansions = 32 }
 
-let run_optimized ?reset_stats ?max_events
-    ?(strategy = Axml_algebra.Optimizer.Best_first { max_expansions = 32 })
-    ?objective ?visited ?stats sys ~ctx expr =
+let run_optimized ?reset_stats ?max_events ?(strategy = default_strategy)
+    ?stats sys ~ctx expr =
   let env = System.cost_env sys in
   let wall0 = Trace.wall_ms () in
-  let planned =
-    Axml_algebra.Planner.plan ~env ~ctx ?objective ?visited ?stats strategy expr
-  in
-  let rewritten, qcache_rewrites =
-    apply_qcache_rewrites sys ~ctx planned.Axml_algebra.Planner.plan
-  in
-  let planned =
-    if qcache_rewrites = 0 then planned
-    else { planned with Axml_algebra.Planner.plan = rewritten }
-  in
+  let planned = Axml_algebra.Planner.plan ~env ~ctx ?stats strategy expr in
   (* The optimize phase consumes no virtual time; its span sits at the
      current virtual timestamp with the wall-clock planning duration,
      so optimize-vs-execute shares show up side by side in the trace. *)
@@ -590,7 +546,6 @@ let run_optimized ?reset_stats ?max_events
             string_of_int
               planned.Axml_algebra.Planner.search.Axml_algebra.Optimizer.explored
           );
-          ("qcache_rewrites", string_of_int qcache_rewrites);
         ]
       "optimize";
   ( planned,

@@ -80,12 +80,15 @@ val run_profiled :
     feeds each operator's estimate-error ratio into the
     [profiler/est_error_ratio] histogram of {!Axml_obs.Metrics}. *)
 
+val default_strategy : Axml_algebra.Optimizer.strategy
+(** The planner search the runtime uses: [Best_first { max_expansions
+    = 32 }].  [axmlctl optimize]/[explain] default to it too, so the
+    plan they show is the plan {!run_optimized} executes. *)
+
 val run_optimized :
   ?reset_stats:bool ->
   ?max_events:int ->
   ?strategy:Axml_algebra.Optimizer.strategy ->
-  ?objective:(Axml_algebra.Cost.t -> float) ->
-  ?visited:Axml_algebra.Optimizer.visited_impl ->
   ?stats:Axml_query.Selectivity.Stats.t list ->
   System.t ->
   ctx:Axml_net.Peer_id.t ->
@@ -94,6 +97,6 @@ val run_optimized :
 (** Optimize-before-evaluate: run the unified planner against the
     live system's own cost oracles ({!System.cost_env}), then execute
     the chosen plan under the simulator.  [strategy] defaults to
-    [Best_first { max_expansions = 32 }].  Returns the planner's
+    {!default_strategy}.  Returns the planner's
     explainable result alongside the measured outcome, so scenarios
     can compare estimated against observed cost. *)

@@ -118,8 +118,6 @@ let note_miss t =
   bump t.m_misses;
   series t "misses"
 
-let record_hit t = note_hit t
-
 let dep_key ~peer ~doc = peer ^ "/" ^ doc
 
 (* Remove [e] (by physical identity) from both indexes. *)
@@ -178,8 +176,6 @@ let find_entry t ~fp ~expr ~current =
             end
       in
       scan !cell
-
-let probe t ~fp ~expr ~current = find_entry t ~fp ~expr ~current
 
 let find t ~fp ~expr ~current =
   match find_entry t ~fp ~expr ~current with

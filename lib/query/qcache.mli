@@ -80,22 +80,6 @@ val invalidate_dep : 'e t -> peer:string -> doc:string -> unit
 (** Drop every entry pinned to [(peer, doc)] — the eager path, driven
     by the owning store's mutation hook. *)
 
-val record_hit : 'e t -> unit
-(** Count a hit that was served outside {!find}'s accounting — the
-    plan-rewrite probe runs with [find] counters suppressed (the
-    evaluator would otherwise double-count the same subplan), then
-    records its hits here. *)
-
-val probe :
-  'e t ->
-  fp:fingerprint ->
-  expr:'e ->
-  current:(peer:string -> doc:string -> int option) ->
-  Axml_xml.Forest.t option
-(** {!find} without hit/miss accounting (stale drops and collisions
-    still count — they are real events).  For plan-rewrite probes; see
-    {!record_hit}. *)
-
 val clear : 'e t -> unit
 val length : 'e t -> int
 

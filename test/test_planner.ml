@@ -1,7 +1,7 @@
-(* The unified planner: fingerprint soundness, visited-set ablation,
-   cross-strategy agreement, reproducibility, and the planner's
-   two-layer (rewrite search + per-site query optimization)
-   pipeline. *)
+(* The unified planner: fingerprint soundness, the fingerprint memo
+   against a linear-scan closure oracle, cross-strategy agreement,
+   reproducibility, and the planner's two-layer (rewrite search +
+   per-site query optimization) pipeline. *)
 
 open Axml
 open Helpers
@@ -34,8 +34,7 @@ let fixtures =
         ~args:[ Expr.doc "cat" ~at:"p2"; Expr.doc "cat" ~at:"p3" ] );
   ]
 
-let run strategy ?visited plan =
-  Optimizer.optimize ~env ~ctx:p1 ?visited strategy plan
+let run strategy plan = Optimizer.optimize ~env ~ctx:p1 strategy plan
 
 let weight (r : Optimizer.result) = Algebra.Cost.weighted r.cost
 
@@ -92,11 +91,53 @@ let fingerprint_prop =
        (QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 100_000))
        fingerprint_soundness)
 
-(* --- visited-set ablation ---------------------------------------- *)
+(* --- the fingerprint memo against a linear-scan oracle ------------ *)
 
-(* The fingerprint memo must be a pure speedup: same plan set, same
-   best cost, strictly fewer structural comparisons than the O(n²)
-   list scan. *)
+(* Auxiliary names as the optimizer mints them (Optimizer.fresh_for):
+   derived from the rewritten plan's fingerprint, so the oracle below
+   reaches the very plans the search does. *)
+let fresh_for parent =
+  let h = (Expr.fingerprint parent).Expr.Fingerprint.hash land 0xFFFFFF in
+  let k = ref 0 in
+  fun () ->
+    incr k;
+    Printf.sprintf "_tmp_s%06x_%d" h !k
+
+let expand e =
+  Algebra.Rewrite.everywhere ~peers:all_peers ~fresh:(fresh_for e) e
+
+(* The depth-bounded rewrite closure, deduplicated by a linear
+   [Expr.equal] scan over every plan seen so far (the seed's O(n²)
+   visited list): the number of distinct plans, and the first cheapest
+   plan with its weighted cost.  Levels are walked in the optimizer's
+   order (each level's plans in reverse discovery order), so cost ties
+   resolve to the same plan. *)
+let linear_closure ~depth plan =
+  let cost e = Algebra.Cost.weighted (Algebra.Cost.of_expr env ~ctx:p1 e) in
+  let seen = ref [ plan ] in
+  let best = ref (plan, cost plan) in
+  let frontier = ref [ plan ] in
+  for _ = 1 to depth do
+    let next = ref [] in
+    List.iter
+      (fun e ->
+        List.iter
+          (fun (r : Algebra.Rewrite.rewrite) ->
+            if not (List.exists (Expr.equal r.result) !seen) then begin
+              seen := r.result :: !seen;
+              let c = cost r.result in
+              if c < snd !best then best := (r.result, c);
+              next := r.result :: !next
+            end)
+          (expand e))
+      !frontier;
+    frontier := !next
+  done;
+  (List.length !seen, fst !best, snd !best)
+
+(* The fingerprint memo must be a pure speedup over the linear scan:
+   same plan set, same best cost, strictly fewer structural
+   comparisons. *)
 let test_fingerprint_memo_ablation () =
   List.iter
     (fun (name, plan) ->
@@ -105,23 +146,21 @@ let test_fingerprint_memo_ablation () =
         let r = f () in
         (r, Expr.equal_calls () - before)
       in
-      let strategy = Optimizer.Exhaustive { depth = 2 } in
-      let by_list, list_calls =
-        equal_calls (fun () -> run strategy ~visited:`List plan)
+      let (explored, best_plan, best), list_calls =
+        equal_calls (fun () -> linear_closure ~depth:2 plan)
       in
       let by_table, table_calls =
-        equal_calls (fun () -> run strategy ~visited:`Fingerprint plan)
+        equal_calls (fun () -> run (Optimizer.Exhaustive { depth = 2 }) plan)
       in
       Alcotest.(check int)
         (name ^ ": same number of plans explored")
-        by_list.explored by_table.explored;
-      Alcotest.(check (float 1e-9))
-        (name ^ ": same best cost")
-        (weight by_list) (weight by_table);
+        explored by_table.explored;
+      Alcotest.(check (float 1e-9)) (name ^ ": same best cost") best
+        (weight by_table);
       Alcotest.(check bool)
         (name ^ ": plans structurally equal")
         true
-        (Expr.equal by_list.plan by_table.plan);
+        (Expr.equal best_plan by_table.plan);
       Alcotest.(check bool)
         (Printf.sprintf "%s: fewer Expr.equal calls (%d < %d)" name table_calls
            list_calls)
@@ -130,38 +169,51 @@ let test_fingerprint_memo_ablation () =
 
 (* --- cross-strategy agreement ------------------------------------ *)
 
+(* Steepest descent — apply the single rewrite that most improves the
+   weighted cost until none does: the local-search baseline best-first
+   has to beat. *)
+let hill_climb ~max_steps plan =
+  let cost e = Algebra.Cost.weighted (Algebra.Cost.of_expr env ~ctx:p1 e) in
+  let rec descend e c steps =
+    if steps >= max_steps then c
+    else
+      let next =
+        List.fold_left
+          (fun acc (r : Algebra.Rewrite.rewrite) ->
+            let c' = cost r.result in
+            match acc with
+            | Some (_, best) when c' >= best -> acc
+            | _ when c' < c -> Some (r.result, c')
+            | _ -> acc)
+          None (expand e)
+      in
+      match next with None -> c | Some (e', c') -> descend e' c' (steps + 1)
+  in
+  descend plan (cost plan) 0
+
 let test_strategies_agree () =
   List.iter
     (fun (name, plan) ->
       let exhaustive = run (Optimizer.Exhaustive { depth = 2 }) plan in
-      let greedy = run (Optimizer.Greedy { max_steps = 4 }) plan in
       let best_first = run (Optimizer.Best_first { max_expansions = 8 }) plan in
-      let beam = run (Optimizer.Beam { width = 4; depth = 2 }) plan in
       Alcotest.(check bool)
-        (name ^ ": best-first never costlier than greedy")
+        (name ^ ": best-first never costlier than steepest descent")
         true
-        (weight best_first <= weight greedy +. 1e-9);
-      Alcotest.(check bool)
-        (name ^ ": beam never costlier than greedy")
-        true
-        (weight beam <= weight greedy +. 1e-9);
+        (weight best_first <= hill_climb ~max_steps:4 plan +. 1e-9);
       Alcotest.(check (float 1e-9))
         (name ^ ": best-first matches exhaustive at depth 2")
-        (weight exhaustive) (weight best_first);
-      Alcotest.(check (float 1e-9))
-        (name ^ ": beam matches exhaustive at depth 2")
-        (weight exhaustive) (weight beam))
+        (weight exhaustive) (weight best_first))
     fixtures
 
 (* The select fixture needs an uphill step (push the selection, then
-   delegate): greedy stalls in a local optimum there, and best-first's
-   plateau-slack must climb out of it within a small budget. *)
+   delegate): steepest descent stalls in a local optimum there, and
+   best-first's plateau-slack must climb out of it within a small
+   budget. *)
 let test_best_first_escapes_local_optimum () =
   let plan = List.assoc "select" fixtures in
-  let greedy = run (Optimizer.Greedy { max_steps = 8 }) plan in
   let best_first = run (Optimizer.Best_first { max_expansions = 8 }) plan in
   Alcotest.(check bool) "greedy is stuck" true
-    (weight greedy > weight best_first)
+    (hill_climb ~max_steps:8 plan > weight best_first)
 
 (* Deterministic fresh names (derived from the parent plan's
    fingerprint) make every strategy rebuild the identical best plan,
@@ -253,6 +305,28 @@ let test_planner_end_to_end () =
         (contains (Printf.sprintf "%S" key) json))
     [ "strategy"; "initial_cost"; "final_cost"; "trace"; "queries_optimized" ]
 
+(* Document names are user data: a name carrying bytes >= 0x7F must
+   come out of explain --json escaped, the record pure ASCII and
+   well-formed, the name intact once decoded. *)
+let test_explain_json_escapes_names () =
+  let name = "caf\xff" in
+  let plan = Expr.query_at sel_query ~at:p1 ~args:[ Expr.doc name ~at:"p2" ] in
+  let r =
+    Planner.plan ~env ~ctx:p1 (Optimizer.Best_first { max_expansions = 8 }) plan
+  in
+  let json = Planner.explain_json r in
+  Alcotest.(check bool) "pure ASCII" true
+    (String.for_all (fun c -> Char.code c < 0x7F) json);
+  match Test_obs.Json.parse json with
+  | Test_obs.Json.Obj fields -> (
+      match List.assoc_opt "plan" fields with
+      | Some (Test_obs.Json.Str text) ->
+          Alcotest.(check string) "plan text decodes to the plan"
+            (Expr.to_string r.plan) text
+      | _ -> Alcotest.fail "no plan string")
+  | _ -> Alcotest.fail "not a JSON object"
+  | exception Test_obs.Json.Bad msg -> Alcotest.failf "malformed JSON: %s" msg
+
 let test_planner_execution_correct () =
   (* The planner's chosen plan must produce the naive plan's answers
      on a live system, with less traffic. *)
@@ -293,5 +367,7 @@ let suite =
     ("map_children visits Shared children in order", `Quick,
      test_map_children_order);
     ("planner end to end", `Quick, test_planner_end_to_end);
+    ("explain JSON escapes non-ASCII names", `Quick,
+     test_explain_json_escapes_names);
     ("planned execution stays correct", `Quick, test_planner_execution_correct);
   ]
