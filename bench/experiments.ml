@@ -1250,7 +1250,7 @@ let rare_label_query =
    finite by construction (ratios divide by a clamped denominator). *)
 let json_f x = Printf.sprintf "%.6g" x
 let json_b b = if b then "true" else "false"
-let json_s s = Printf.sprintf "%S" s
+let json_s s = "\"" ^ Obs.Exporter.json_escape s ^ "\""
 let json_obj fields =
   "{" ^ String.concat ", " (List.map (fun (k, v) -> json_s k ^ ": " ^ v) fields) ^ "}"
 let json_arr items = "[" ^ String.concat ", " items ^ "]"
@@ -2166,6 +2166,161 @@ let e19 ?(smoke = false) () =
      the dup workload additionally ships its second identical transfer\n\
      as a back-reference\n"
 
+(* --- E20–E24: the scenario runs ---------------------------------- *)
+
+(* E20–E24 are tables over {!Workload.Run} specs: each row is one
+   [Run.exec], printed and written to the artifact through the same
+   column list. *)
+
+module Run = Workload.Run
+
+(* The hard checks of E20–E24: a failure prints a "!!" line and makes
+   bench/main.exe exit non-zero.  "~~" lines are advisory wall-clock
+   notes. *)
+let hard_failures = ref 0
+
+let gate ok msg =
+  if not ok then begin
+    incr hard_failures;
+    Printf.printf "  !! %s\n" msg
+  end
+
+(* Each (artifact key, holds, message): gate it, return the artifact
+   fields. *)
+let gates checks =
+  List.map
+    (fun (key, ok, msg) ->
+      gate ok msg;
+      (key, json_b ok))
+    checks
+
+(* (mirrors, subscribers, requests per subscriber): tiers of 10, 100
+   and 1000 peers (publisher included), sized so the top tier delivers
+   ~10^6 messages. *)
+let crowd_tiers ~smoke =
+  if smoke then [ (3, 6, 20); (8, 41, 20) ]
+  else [ (3, 6, 800); (8, 91, 550); (24, 975, 512) ]
+
+let crowd ?(transport = System.Raw) ?(wire = System.Xml) ?(flush_ms = 0.0)
+    ?(ack_delay_ms = 0.0) ?(obs = Run.obs_off) (mirrors, subscribers, requests)
+    =
+  {
+    Run.shape =
+      Run.Crowd
+        { mirrors; subscribers; requests; transport; wire; flush_ms; ack_delay_ms };
+    seed = 11;
+    obs;
+  }
+
+let peers (r : Run.result) = List.length r.roles
+
+let words_per_event (r : Run.result) =
+  r.minor_words /. Float.max 1.0 (float_of_int r.events)
+
+let events_per_sec (r : Run.result) =
+  float_of_int r.events /. Float.max 1e-9 r.wall_s
+
+let p95 (r : Run.result) = Run.quantile r.latencies 0.95
+let p99 (r : Run.result) = Run.quantile r.latencies 0.99
+
+let migrations (r : Run.result) =
+  match r.placement with
+  | Some c -> (Runtime.Placement.stats c).Runtime.Placement.s_committed
+  | None -> 0
+
+let invalidations (r : Run.result) =
+  r.qcache.invalidations + r.qcache.stale_drops
+
+(* A result column: its table header ("" = artifact only), its
+   artifact key, and the two renderings.  Every artifact reads a key
+   the same way. *)
+type col = {
+  head : string;
+  key : string;
+  text : Run.result -> string;
+  json : Run.result -> string;
+}
+
+let int_col head key f =
+  let s r = string_of_int (f r) in
+  { head; key; text = s; json = s }
+
+let float_col head key fmt f =
+  {
+    head;
+    key;
+    text = (fun r -> Printf.sprintf fmt (f r));
+    json = (fun r -> json_f (f r));
+  }
+
+let quiet c = { c with head = "" }
+let c_peers = int_col "peers" "peers" peers
+let c_requests = int_col "requests" "requests" (fun r -> r.requests)
+let c_completed = int_col "completed" "completed" (fun r -> r.completed)
+let c_unserved = int_col "unserved" "unserved" (fun r -> r.unserved)
+let c_events = int_col "events" "events" (fun r -> r.events)
+let c_messages = int_col "messages" "messages" (fun r -> r.stats.messages)
+let c_bytes = int_col "bytes" "bytes" (fun r -> r.stats.bytes)
+let c_done head fmt =
+  float_col head "completion_ms" fmt (fun r -> r.stats.completion_ms)
+let c_wall = float_col "wall s" "wall_s" "%.3f" (fun r -> r.wall_s)
+let c_eps = float_col "events/s" "events_per_sec" "%.3g" events_per_sec
+let c_wpe = float_col "words/event" "words_per_event" "%.1f" words_per_event
+let c_decodes = int_col "decodes" "payload_decodes" (fun r -> r.payload_decodes)
+let c_spans = int_col "spans" "sampled_spans" (fun r -> r.spans)
+let c_series = int_col "series" "timeseries_keys" (fun r -> r.series)
+
+let c_p q =
+  float_col (Printf.sprintf "p%d ms" q) (Printf.sprintf "p%d_ms" q) "%.1f" (fun r ->
+      Run.quantile r.latencies (float_of_int q /. 100.0))
+
+let c_migr = int_col "migr" "migrations_committed" migrations
+let c_hits = int_col "hits" "cache_hits" (fun r -> r.qcache.hits)
+let c_misses = int_col "" "cache_misses" (fun r -> r.qcache.misses)
+let c_inval = int_col "inval" "cache_invalidations" invalidations
+let c_installs = int_col "" "cache_installs" (fun r -> r.qcache.installs)
+let c_fp =
+  { (quiet c_events) with key = "fingerprint"; json = (fun r -> json_s r.fingerprint) }
+
+let c_content_fp =
+  {
+    c_fp with
+    key = "content_fingerprint";
+    json = (fun r -> json_s r.content_fingerprint);
+  }
+
+let c_ok =
+  {
+    head = "ok";
+    key = "quiescent_and_complete";
+    text = (fun r -> if Run.ok r then "yes" else "NO");
+    json = (fun r -> json_b (Run.ok r));
+  }
+
+(* Print labelled runs as a table ([label] heads the label column; none
+   for unlabelled rows) and return them as artifact rows, each prefixed
+   by [tag]. *)
+let run_rows ?label ?(tag = []) cols rows =
+  let shown = List.filter (fun c -> c.head <> "") cols in
+  let lab l = Option.fold ~none:[] ~some:(fun _ -> [ l ]) label in
+  table
+    ~headers:(lab (Option.value label ~default:"") @ List.map (fun c -> c.head) shown)
+    (List.map (fun (l, r) -> lab l @ List.map (fun c -> c.text r) shown) rows);
+  List.map
+    (fun (l, r) ->
+      json_obj
+        (tag
+        @ Option.fold ~none:[] ~some:(fun k -> [ (k, json_s l) ]) label
+        @ List.map (fun c -> (c.key, c.json r)) cols))
+    rows
+
+let finish id ~smoke fields shape =
+  let file = "BENCH_" ^ id ^ ".json" in
+  write_json file
+    (json_obj (("experiment", json_s id) :: ("smoke", json_b smoke) :: fields));
+  write_summary ();
+  Printf.printf "\nwrote %s and BENCH_summary.json\nshape: %s\n" file shape
+
 (* --- E20: web-scale flash crowd ------------------------------- *)
 
 (* Pre-refactor reference points, measured with this exact scenario and
@@ -2192,141 +2347,73 @@ let e20 ?(smoke = false) () =
      request loop (Invoke + Stream response = 2 remote messages per\n\
      request); measures events/sec, wall-clock and allocation per event\n\
      across peer-count tiers\n\n";
-  (* (mirrors, subscribers, requests per subscriber): tiers of 10, 100
-     and 1000 peers (publisher included), sized so the top tier delivers
-     ~10^6 messages. *)
-  let tiers =
-    if smoke then [ (3, 6, 20); (8, 41, 20) ]
-    else [ (3, 6, 800); (8, 91, 550); (24, 975, 512) ]
+  let runs = List.map (fun t -> ("", Run.exec (crowd t))) (crowd_tiers ~smoke) in
+  let speedup =
+    float_col "" "speedup_vs_pre_refactor" "%g" (fun r ->
+        match
+          List.find_opt
+            (fun (p, _, _, _, _, _) -> p = peers r)
+            e20_pre_refactor_baseline
+        with
+        | Some (_, _, _, _, base_eps, _) -> events_per_sec r /. base_eps
+        | None -> 0.0)
   in
-  (* Harness GC policy: with ~10^3 concurrent requests the in-flight
-     state (continuations, messages on the wire, armed timers) is
-     comparable to the default 256k-word nursery, so nearly every
-     in-flight object survives a minor collection and is promoted —
-     the major GC then dominates the run.  A simulation-scale nursery
-     keeps short-lived state out of the major heap.  Restored after
-     the experiment so co-resident benches measure under defaults. *)
-  let gc0 = Gc.get () in
-  Gc.set { gc0 with Gc.minor_heap_size = 8 * 1024 * 1024 };
-  Fun.protect ~finally:(fun () -> Gc.set gc0) @@ fun () ->
-  let run_tier (mirrors, subscribers, reqs) =
-    let fc =
-      Workload.Scenarios.flash_crowd ~mirrors ~subscribers
-        ~requests_per_subscriber:reqs ~seed:11 ()
-    in
-    let sys = fc.Workload.Scenarios.fc_system in
-    let budget =
-      (4 * fc.Workload.Scenarios.fc_requests)
-      + (20 * (1 + mirrors + subscribers))
-      + 10_000
-    in
-    Gc.compact ();
-    (* [Gc.minor_words] is the precise allocation counter; the
-       [quick_stat] fields are only refreshed at collection points,
-       which a simulation-sized nursery may never reach. *)
-    let w0 = Gc.minor_words () in
-    let t0 = Sys.time () in
-    let outcome, events = System.run ~max_events:budget sys in
-    let wall = Sys.time () -. t0 in
-    let words = Gc.minor_words () -. w0 in
-    let st = System.stats sys in
-    let peers = 1 + mirrors + subscribers in
-    let eps = float_of_int events /. Float.max wall 1e-9 in
-    let wpe = words /. Float.max (float_of_int events) 1.0 in
-    let ok =
-      outcome = `Quiescent
-      && !(fc.Workload.Scenarios.fc_completed)
-         = fc.Workload.Scenarios.fc_requests
-      && !(fc.Workload.Scenarios.fc_unserved) = 0
-    in
-    ( peers, fc.Workload.Scenarios.fc_requests, st.Net.Stats.messages,
-      st.Net.Stats.bytes, events, System.now_ms sys, wall, eps, wpe, ok )
-  in
-  let results = List.map run_tier tiers in
-  table
-    ~headers:
+  let rows =
+    run_rows
       [
-        "peers"; "requests"; "messages"; "events"; "virtual ms"; "wall s";
-        "events/s"; "words/event"; "ok";
+        c_peers; c_requests; c_messages; quiet c_bytes; c_events;
+        c_done "virtual ms" "%.0f"; c_wall; c_eps; c_wpe; speedup; c_ok;
       ]
-    (List.map
-       (fun (peers, reqs, msgs, _bytes, events, vms, wall, eps, wpe, ok) ->
-         [
-           string_of_int peers; string_of_int reqs; string_of_int msgs;
-           string_of_int events;
-           Printf.sprintf "%.0f" vms;
-           Printf.sprintf "%.3f" wall;
-           Printf.sprintf "%.3g" eps;
-           Printf.sprintf "%.1f" wpe;
-           (if ok then "yes" else "NO");
-         ])
-       results);
-  let baseline_for peers =
-    List.find_opt
-      (fun (p, _, _, _, _, _) -> p = peers)
+      runs
+  in
+  List.iter
+    (fun (_, r) ->
+      gate (Run.ok r)
+        (Printf.sprintf "E20 %d peers: the run failed to complete" (peers r)))
+    runs;
+  let baseline =
+    List.map
+      (fun (peers, msgs, events, wall, eps, wpe) ->
+        json_obj
+          [
+            ("peers", string_of_int peers); ("messages", string_of_int msgs);
+            ("events", string_of_int events); ("wall_s", json_f wall);
+            ("events_per_sec", json_f eps); ("words_per_event", json_f wpe);
+          ])
       e20_pre_refactor_baseline
   in
-  let rows_json =
-    json_arr
-      (List.map
-         (fun (peers, reqs, msgs, bytes, events, vms, wall, eps, wpe, ok) ->
-           let speedup =
-             match baseline_for peers with
-             | Some (_, _, _, _, base_eps, _) when base_eps > 0.0 ->
-                 eps /. base_eps
-             | _ -> 0.0
-           in
-           json_obj
-             [
-               ("peers", string_of_int peers);
-               ("requests", string_of_int reqs);
-               ("messages", string_of_int msgs);
-               ("bytes", string_of_int bytes);
-               ("events", string_of_int events);
-               ("completion_virtual_ms", json_f vms);
-               ("wall_s", json_f wall);
-               ("events_per_sec", json_f eps);
-               ("words_per_event", json_f wpe);
-               ("speedup_vs_pre_refactor", json_f speedup);
-               ("quiescent_and_complete", json_b ok);
-             ])
-         results)
-  in
-  let baseline_json =
-    json_arr
-      (List.map
-         (fun (peers, msgs, events, wall, eps, wpe) ->
-           json_obj
-             [
-               ("peers", string_of_int peers);
-               ("messages", string_of_int msgs);
-               ("events", string_of_int events);
-               ("wall_s", json_f wall);
-               ("events_per_sec", json_f eps);
-               ("words_per_event", json_f wpe);
-             ])
-         e20_pre_refactor_baseline)
-  in
-  write_json "BENCH_E20.json"
-    (json_obj
-       [
-         ("experiment", json_s "E20");
-         ("smoke", json_b smoke);
-         ("gc_minor_heap_words", string_of_int (8 * 1024 * 1024));
-         ( "baseline_source",
-           json_s
-             "pre-refactor harness (string-keyed Peer_id, tuple-keyed \
-              System tables, pairing-heap Pqueue, per-event metric hash \
-              lookups), same scenario and bench code" );
-         ("pre_refactor_baseline", baseline_json);
-         ("rows", rows_json);
-       ]);
-  write_summary ();
-  Printf.printf
-    "\nwrote BENCH_E20.json and BENCH_summary.json\n\
-     shape: events/sec should stay flat as peer count grows — per-event\n\
+  finish "E20" ~smoke
+    [
+      ("gc_minor_heap_words", string_of_int Run.minor_heap_words);
+      ( "baseline_source",
+        json_s
+          "pre-refactor harness (string-keyed Peer_id, tuple-keyed System \
+           tables, pairing-heap Pqueue, per-event metric hash lookups), same \
+           scenario and bench code" );
+      ("pre_refactor_baseline", json_arr baseline);
+      ("rows", json_arr rows);
+    ]
+    "events/sec should stay flat as peer count grows — per-event\n\
      work is array-indexed, not string-hashed — and the top tier should\n\
-     complete its ~10^6 messages in single-digit seconds\n"
+     complete its ~10^6 messages in single-digit seconds"
+
+(* Run every arm on every crowd tier and print one table per tier;
+   returns (peers, arm runs) per tier and the artifact rows. *)
+let crowd_arms ~smoke arms cols =
+  let tiers =
+    List.map
+      (fun tier -> List.map (fun (arm, spec) -> (arm, Run.exec (spec tier))) arms)
+      (crowd_tiers ~smoke)
+  in
+  let tiers = List.map (fun runs -> (peers (snd (List.hd runs)), runs)) tiers in
+  let rows =
+    List.concat_map
+      (fun (p, runs) ->
+        Printf.printf "-- %d peers --\n" p;
+        run_rows ~label:"arm" ~tag:[ ("peers", string_of_int p) ] cols runs)
+      tiers
+  in
+  (tiers, rows)
 
 (* --- E21: observability overhead ablation ------------------------ *)
 
@@ -2351,189 +2438,53 @@ let e21 ?(smoke = false) () =
      words/event of the two off arms must agree exactly, the metrics\n\
      arm must cost <= ~10%% extra wall clock, and the sampled arms must\n\
      complete every tier\n\n";
-  let tiers =
-    if smoke then [ (3, 6, 20); (8, 41, 20) ]
-    else [ (3, 6, 800); (8, 91, 550); (24, 975, 512) ]
+  let metrics = { Run.obs_off with metrics = true } in
+  let traces = { metrics with keep_one_in = 64 } in
+  let arm obs tier = crowd ~obs tier in
+  let tiers, rows =
+    crowd_arms ~smoke
+      [
+        ("off", arm Run.obs_off); ("metrics", arm metrics);
+        ("metrics+traces", arm traces);
+        ("full", arm { traces with window_ms = Some 100.0 });
+        ("off (after)", arm Run.obs_off);
+      ]
+      [ c_events; c_wall; c_wpe; c_spans; c_series; c_ok ]
   in
-  (* (label, metrics, timeseries, keep-one-in; 0 = tracing off) *)
-  let arms =
-    [
-      ("off", false, false, 0);
-      ("metrics", true, false, 0);
-      ("metrics+traces", true, false, 64);
-      ("full", true, true, 64);
-      ("off (after)", false, false, 0);
-    ]
-  in
-  let disable_all () =
-    Obs.Metrics.set_enabled Obs.Metrics.default false;
-    Obs.Metrics.reset Obs.Metrics.default;
-    Obs.Timeseries.set_enabled Obs.Timeseries.default false;
-    Obs.Timeseries.reset Obs.Timeseries.default;
-    Obs.Trace.set_enabled false;
-    Obs.Trace.clear ();
-    Obs.Trace.set_sampling ~seed:0 ~keep_one_in:1 ()
-  in
-  let gc0 = Gc.get () in
-  Gc.set { gc0 with Gc.minor_heap_size = 8 * 1024 * 1024 };
-  Fun.protect ~finally:(fun () ->
-      disable_all ();
-      Gc.set gc0)
-  @@ fun () ->
-  let run_arm (mirrors, subscribers, reqs) (label, metrics, ts, keep) =
-    Obs.Metrics.set_enabled Obs.Metrics.default metrics;
-    Obs.Metrics.reset Obs.Metrics.default;
-    Obs.Timeseries.set_enabled Obs.Timeseries.default ts;
-    Obs.Timeseries.reset Obs.Timeseries.default;
-    if keep > 0 then begin
-      Obs.Trace.set_enabled true;
-      Obs.Trace.clear ();
-      Obs.Trace.set_sampling ~seed:11 ~keep_one_in:keep ()
-    end
-    else begin
-      Obs.Trace.set_enabled false;
-      Obs.Trace.clear ()
-    end;
-    let fc =
-      Workload.Scenarios.flash_crowd ~mirrors ~subscribers
-        ~requests_per_subscriber:reqs ~seed:11 ()
-    in
-    let sys = fc.Workload.Scenarios.fc_system in
-    let peers = 1 + mirrors + subscribers in
-    let budget =
-      (8 * fc.Workload.Scenarios.fc_requests) + (40 * peers) + 10_000
-    in
-    Gc.compact ();
-    let w0 = Gc.minor_words () in
-    let t0 = Sys.time () in
-    let outcome, events = System.run ~max_events:budget sys in
-    let wall = Sys.time () -. t0 in
-    let words = Gc.minor_words () -. w0 in
-    let ok =
-      outcome = `Quiescent
-      && !(fc.Workload.Scenarios.fc_completed)
-         = fc.Workload.Scenarios.fc_requests
-      && !(fc.Workload.Scenarios.fc_unserved) = 0
-    in
-    let spans = if keep > 0 then Obs.Trace.count () else 0 in
-    let series = List.length (Obs.Timeseries.keys Obs.Timeseries.default) in
-    disable_all ();
-    ( label, peers, events, wall,
-      words /. Float.max 1.0 (float_of_int events), spans, series, ok )
-  in
-  let checks = ref [] in
-  let tier_results =
+  let checks =
     List.map
-      (fun tier ->
-        let rows = List.map (run_arm tier) arms in
-        let wall_of l =
-          List.fold_left
-            (fun acc (label, _, _, wall, _, _, _, _) ->
-              if label = l then wall else acc)
-            0.0 rows
-        in
-        let wpe_of l =
-          List.fold_left
-            (fun acc (label, _, _, _, wpe, _, _, _) ->
-              if label = l then wpe else acc)
-            0.0 rows
-        in
-        let peers =
-          match rows with (_, p, _, _, _, _, _, _) :: _ -> p | [] -> 0
-        in
-        let off_wpe_agree = wpe_of "off" = wpe_of "off (after)" in
-        let metrics_ratio =
-          wall_of "metrics" /. Float.max 1e-9 (wall_of "off")
-        in
-        let all_complete =
-          List.for_all (fun (_, _, _, _, _, _, _, ok) -> ok) rows
-        in
-        checks :=
-          (peers, off_wpe_agree, metrics_ratio, all_complete) :: !checks;
-        (peers, rows))
+      (fun (p, runs) ->
+        let run l : Run.result = List.assoc l runs in
+        let ratio = (run "metrics").wall_s /. Float.max 1e-9 (run "off").wall_s in
+        if ratio > 1.10 then
+          Printf.printf
+            "  ~~ E21 %d peers: metrics arm wall ratio %.2fx (> 1.10x target; \
+             wall clock is noisy at small tiers)\n"
+            p ratio;
+        json_obj
+          ((("peers", string_of_int p) :: ("metrics_wall_ratio", json_f ratio)
+           :: gates
+                [
+                  ( "disabled_words_per_event_stable",
+                    words_per_event (run "off") = words_per_event (run "off (after)"),
+                    Printf.sprintf
+                      "E21 %d peers: disabled-path words/event changed across arms" p );
+                  ( "all_arms_complete",
+                    List.for_all (fun (_, r) -> Run.ok r) runs,
+                    Printf.sprintf "E21 %d peers: an arm failed to complete" p );
+                ])))
       tiers
   in
-  let checks = List.rev !checks in
-  List.iter
-    (fun (peers, rows) ->
-      Printf.printf "-- %d peers --\n" peers;
-      table
-        ~headers:
-          [ "arm"; "events"; "wall s"; "words/event"; "spans"; "series"; "ok" ]
-        (List.map
-           (fun (label, _, events, wall, wpe, spans, series, ok) ->
-             [
-               label; string_of_int events;
-               Printf.sprintf "%.3f" wall;
-               Printf.sprintf "%.1f" wpe;
-               string_of_int spans; string_of_int series;
-               (if ok then "yes" else "NO");
-             ])
-           rows))
-    tier_results;
-  List.iter
-    (fun (peers, agree, ratio, complete) ->
-      if not agree then
-        Printf.printf
-          "  !! E21 %d peers: disabled-path words/event changed across arms\n"
-          peers;
-      if ratio > 1.10 then
-        Printf.printf
-          "  ~~ E21 %d peers: metrics arm wall ratio %.2fx (> 1.10x target; \
-           wall clock is noisy at small tiers)\n"
-          peers ratio;
-      if not complete then
-        Printf.printf "  !! E21 %d peers: an arm failed to complete\n" peers)
-    checks;
-  let rows_json =
-    json_arr
-      (List.concat_map
-         (fun (peers, rows) ->
-           List.map
-             (fun (label, _, events, wall, wpe, spans, series, ok) ->
-               json_obj
-                 [
-                   ("peers", string_of_int peers);
-                   ("arm", json_s label);
-                   ("events", string_of_int events);
-                   ("wall_s", json_f wall);
-                   ("words_per_event", json_f wpe);
-                   ("sampled_spans", string_of_int spans);
-                   ("timeseries_keys", string_of_int series);
-                   ("quiescent_and_complete", json_b ok);
-                 ])
-             rows)
-         tier_results)
-  in
-  let checks_json =
-    json_arr
-      (List.map
-         (fun (peers, agree, ratio, complete) ->
-           json_obj
-             [
-               ("peers", string_of_int peers);
-               ("disabled_words_per_event_stable", json_b agree);
-               ("metrics_wall_ratio", json_f ratio);
-               ("all_arms_complete", json_b complete);
-             ])
-         checks)
-  in
-  write_json "BENCH_E21.json"
-    (json_obj
-       [
-         ("experiment", json_s "E21");
-         ("smoke", json_b smoke);
-         ("sample_keep_one_in", string_of_int 64);
-         ("rows", rows_json);
-         ("checks", checks_json);
-       ]);
-  write_summary ();
-  Printf.printf
-    "\nwrote BENCH_E21.json and BENCH_summary.json\n\
-     shape: words/event is identical in both off arms (the disabled\n\
+  finish "E21" ~smoke
+    [
+      ("sample_keep_one_in", string_of_int 64);
+      ("rows", json_arr rows);
+      ("checks", json_arr checks);
+    ]
+    "words/event is identical in both off arms (the disabled\n\
      path allocates nothing), the metrics arm adds low-single-digit\n\
      percent wall, and the sampled-trace arms complete every tier with\n\
-     a span count ~1/64th of a full trace\n"
+     a span count ~1/64th of a full trace"
 
 (* --- E22: binary wire codec ablation ------------------------------ *)
 
@@ -2562,167 +2513,78 @@ let e22 ?(smoke = false) () =
      binary codec; per tier and transport the two wires must agree on\n\
      the final Σ while the binary wire ships smaller frames, and on the\n\
      batched arms it should cost less wall and allocation per event\n\n";
-  let tiers =
-    if smoke then [ (3, 6, 20); (8, 41, 20) ]
-    else [ (3, 6, 800); (8, 91, 550); (24, 975, 512) ]
+  let raw wire tier = crowd ~wire tier in
+  let batched wire tier =
+    crowd ~transport:System.Reliable ~wire ~flush_ms:2.0 ~ack_delay_ms:8.0 tier
   in
-  (* (label, transport, wire, flush_ms, ack_delay_ms) *)
-  let arms =
-    [
-      ("raw/xml", System.Raw, System.Xml, 0.0, 0.0);
-      ("raw/binary", System.Raw, System.Binary, 0.0, 0.0);
-      ("batched/xml", System.Reliable, System.Xml, 2.0, 8.0);
-      ("batched/binary", System.Reliable, System.Binary, 2.0, 8.0);
-    ]
+  let tiers, rows =
+    crowd_arms ~smoke
+      [
+        ("raw/xml", raw System.Xml); ("raw/binary", raw System.Binary);
+        ("batched/xml", batched System.Xml);
+        ("batched/binary", batched System.Binary);
+      ]
+      [ c_events; c_messages; c_bytes; c_wall; c_wpe; c_decodes; c_fp; c_ok ]
   in
-  let gc0 = Gc.get () in
-  Gc.set { gc0 with Gc.minor_heap_size = 8 * 1024 * 1024 };
-  Fun.protect ~finally:(fun () -> Gc.set gc0) @@ fun () ->
-  let run_arm (mirrors, subscribers, reqs) (label, transport, wire, flush, ack)
-      =
-    let fc =
-      Workload.Scenarios.flash_crowd ~mirrors ~subscribers
-        ~requests_per_subscriber:reqs ~transport ~wire ~flush_ms:flush
-        ~ack_delay_ms:ack ~seed:11 ()
-    in
-    let sys = fc.Workload.Scenarios.fc_system in
-    let peers = 1 + mirrors + subscribers in
-    (* The batched arms spend ~12 events per request (flush timers,
-       acks and retransmission bookkeeping on top of the request
-       round trip), where E20/E21's raw arms spend ~3 — hence the
-       larger multiplier. *)
-    let budget =
-      (16 * fc.Workload.Scenarios.fc_requests) + (40 * peers) + 10_000
-    in
-    Gc.compact ();
-    let d0 = Runtime.Message.payload_decodes () in
-    let w0 = Gc.minor_words () in
-    let t0 = Sys.time () in
-    let outcome, events = System.run ~max_events:budget sys in
-    let wall = Sys.time () -. t0 in
-    let words = Gc.minor_words () -. w0 in
-    let decodes = Runtime.Message.payload_decodes () - d0 in
-    let st = System.stats sys in
-    let ok =
-      outcome = `Quiescent
-      && !(fc.Workload.Scenarios.fc_completed)
-         = fc.Workload.Scenarios.fc_requests
-      && !(fc.Workload.Scenarios.fc_unserved) = 0
-    in
-    ( label, peers, events, st.Net.Stats.messages, st.Net.Stats.bytes, wall,
-      words /. Float.max 1.0 (float_of_int events), decodes,
-      System.fingerprint sys, ok )
-  in
-  let checks = ref [] in
-  let tier_results =
+  let checks =
     List.map
-      (fun tier ->
-        let rows = List.map (run_arm tier) arms in
-        let field f l =
-          List.fold_left
-            (fun acc ((label, _, _, _, _, _, _, _, _, _) as row) ->
-              if label = l then f row else acc)
-            (f (List.hd rows))
-            rows
+      (fun (p, runs) ->
+        let run l : Run.result = List.assoc l runs in
+        let bytes l = (run l).Run.stats.Net.Stats.bytes in
+        let same_fp a b = String.equal (run a).fingerprint (run b).fingerprint in
+        let ratio f =
+          f (run "batched/binary") /. Float.max 1e-9 (f (run "batched/xml"))
         in
-        let fp_of l = field (fun (_, _, _, _, _, _, _, _, fp, _) -> fp) l in
-        let bytes_of l = field (fun (_, _, _, _, b, _, _, _, _, _) -> b) l in
-        let wall_of l = field (fun (_, _, _, _, _, w, _, _, _, _) -> w) l in
-        let wpe_of l = field (fun (_, _, _, _, _, _, w, _, _, _) -> w) l in
-        let peers =
-          match rows with (_, p, _, _, _, _, _, _, _, _) :: _ -> p | [] -> 0
-        in
-        let fps_agree =
-          String.equal (fp_of "raw/xml") (fp_of "raw/binary")
-          && String.equal (fp_of "batched/xml") (fp_of "batched/binary")
-        in
-        let binary_smaller =
-          bytes_of "raw/binary" < bytes_of "raw/xml"
-          && bytes_of "batched/binary" < bytes_of "batched/xml"
-        in
-        let wall_ratio =
-          wall_of "batched/binary" /. Float.max 1e-9 (wall_of "batched/xml")
-        in
-        let wpe_ratio =
-          wpe_of "batched/binary" /. Float.max 1e-9 (wpe_of "batched/xml")
-        in
-        let all_complete =
-          List.for_all (fun (_, _, _, _, _, _, _, _, _, ok) -> ok) rows
-        in
-        checks :=
-          (peers, fps_agree, binary_smaller, wall_ratio, wpe_ratio,
-           all_complete)
-          :: !checks;
-        (peers, rows))
+        let wall_r = ratio (fun r -> r.wall_s) and wpe_r = ratio words_per_event in
+        if wall_r > 1.0 then
+          Printf.printf
+            "  ~~ E22 %d peers: batched binary wall ratio %.2fx (> 1.0x \
+             target; wall clock is noisy at small tiers)\n"
+            p wall_r;
+        if wpe_r > 1.0 then
+          Printf.printf "  ~~ E22 %d peers: batched binary words/event ratio %.2fx\n"
+            p wpe_r;
+        json_obj
+          ((("peers", string_of_int p) :: ("batched_binary_wall_ratio", json_f wall_r)
+           :: ("batched_binary_words_ratio", json_f wpe_r)
+           :: gates
+                [
+                  ( "fingerprints_agree_across_wires",
+                    same_fp "raw/xml" "raw/binary"
+                    && same_fp "batched/xml" "batched/binary",
+                    Printf.sprintf "E22 %d peers: wires disagree on the final Σ" p );
+                  ( "binary_bytes_smaller",
+                    bytes "raw/binary" < bytes "raw/xml"
+                    && bytes "batched/binary" < bytes "batched/xml",
+                    Printf.sprintf
+                      "E22 %d peers: binary frames not smaller than the XML model" p );
+                  ( "all_arms_complete",
+                    List.for_all (fun (_, r) -> Run.ok r) runs,
+                    Printf.sprintf "E22 %d peers: an arm failed to complete" p );
+                ])))
       tiers
   in
-  let checks = List.rev !checks in
-  List.iter
-    (fun (peers, rows) ->
-      Printf.printf "-- %d peers --\n" peers;
-      table
-        ~headers:
-          [
-            "arm"; "events"; "messages"; "bytes"; "wall s"; "words/event";
-            "decodes"; "ok";
-          ]
-        (List.map
-           (fun (label, _, events, msgs, bytes, wall, wpe, decodes, _, ok) ->
-             [
-               label; string_of_int events; string_of_int msgs;
-               string_of_int bytes;
-               Printf.sprintf "%.3f" wall;
-               Printf.sprintf "%.1f" wpe;
-               string_of_int decodes;
-               (if ok then "yes" else "NO");
-             ])
-           rows))
-    tier_results;
-  List.iter
-    (fun (peers, fps, smaller, wall_r, wpe_r, complete) ->
-      if not fps then
-        Printf.printf "  !! E22 %d peers: wires disagree on the final Σ\n"
-          peers;
-      if not smaller then
-        Printf.printf
-          "  !! E22 %d peers: binary frames not smaller than the XML model\n"
-          peers;
-      if wall_r > 1.0 then
-        Printf.printf
-          "  ~~ E22 %d peers: batched binary wall ratio %.2fx (> 1.0x \
-           target; wall clock is noisy at small tiers)\n"
-          peers wall_r;
-      if wpe_r > 1.0 then
-        Printf.printf
-          "  ~~ E22 %d peers: batched binary words/event ratio %.2fx\n" peers
-          wpe_r;
-      if not complete then
-        Printf.printf "  !! E22 %d peers: an arm failed to complete\n" peers)
-    checks;
   (* Strict-wire arm (smallest tier): every transmission crosses
      encode/decode, and lazy decode keeps payload parses bounded by the
      logical messages actually delivered. *)
-  let strict_row =
-    run_arm (List.hd tiers)
-      ("batched/binary-strict", System.Reliable, System.Binary_strict, 2.0, 8.0)
-  in
-  let ( _, _, strict_events, strict_msgs, _, _, _, strict_decodes, strict_fp,
-        strict_ok ) =
-    strict_row
-  in
+  let strict = Run.exec (batched System.Binary_strict (List.hd (crowd_tiers ~smoke))) in
   let strict_fp_agrees =
-    match tier_results with
-    | (_, rows) :: _ ->
-        List.exists
-          (fun (l, _, _, _, _, _, _, _, fp, _) ->
-            l = "batched/xml" && String.equal fp strict_fp)
-          rows
-    | [] -> false
+    String.equal strict.fingerprint
+      (List.assoc "batched/xml" (snd (List.hd tiers))).fingerprint
   in
   Printf.printf
     "\nstrict wire (smallest tier): %d events, %d payload decodes, Σ %s\n"
-    strict_events strict_decodes
+    strict.events strict.payload_decodes
     (if strict_fp_agrees then "agrees" else "DIFFERS");
+  let strict_gates =
+    gates
+      [
+        ( "fingerprint_agrees", strict_fp_agrees,
+          "E22 strict wire: Σ differs from the XML wire" );
+        ( "quiescent_and_complete", Run.ok strict,
+          "E22 strict wire: the run failed to complete" );
+      ]
+  in
   (* Relay micro-check: slice and re-frame an encoded batch; the
      decode counter must not move. *)
   let relay_decodes, relay_ns =
@@ -2763,73 +2625,28 @@ let e22 ?(smoke = false) () =
     "relay: slice + re-frame a 16-message batch, %d payload decodes, %.0f \
      ns/frame\n"
     relay_decodes relay_ns;
-  let rows_json =
-    json_arr
-      (List.concat_map
-         (fun (peers, rows) ->
-           List.map
-             (fun (label, _, events, msgs, bytes, wall, wpe, decodes, fp, ok)
-                ->
-               json_obj
-                 [
-                   ("peers", string_of_int peers);
-                   ("arm", json_s label);
-                   ("events", string_of_int events);
-                   ("messages", string_of_int msgs);
-                   ("bytes", string_of_int bytes);
-                   ("wall_s", json_f wall);
-                   ("words_per_event", json_f wpe);
-                   ("payload_decodes", string_of_int decodes);
-                   ("fingerprint", json_s fp);
-                   ("quiescent_and_complete", json_b ok);
-                 ])
-             rows)
-         tier_results)
-  in
-  let checks_json =
-    json_arr
-      (List.map
-         (fun (peers, fps, smaller, wall_r, wpe_r, complete) ->
-           json_obj
-             [
-               ("peers", string_of_int peers);
-               ("fingerprints_agree_across_wires", json_b fps);
-               ("binary_bytes_smaller", json_b smaller);
-               ("batched_binary_wall_ratio", json_f wall_r);
-               ("batched_binary_words_ratio", json_f wpe_r);
-               ("all_arms_complete", json_b complete);
-             ])
-         checks)
-  in
-  write_json "BENCH_E22.json"
-    (json_obj
-       [
-         ("experiment", json_s "E22");
-         ("smoke", json_b smoke);
-         ("rows", rows_json);
-         ("checks", checks_json);
-         ( "strict_wire",
-           json_obj
-             [
-               ("events", string_of_int strict_events);
-               ("messages", string_of_int strict_msgs);
-               ("payload_decodes", string_of_int strict_decodes);
-               ("fingerprint_agrees", json_b strict_fp_agrees);
-               ("quiescent_and_complete", json_b strict_ok);
-             ] );
-         ( "relay",
-           json_obj
-             [
-               ("payload_decodes", string_of_int relay_decodes);
-               ("ns_per_frame", json_f relay_ns);
-             ] );
-       ]);
-  write_summary ();
-  Printf.printf
-    "\nwrote BENCH_E22.json and BENCH_summary.json\n\
-     shape: identical Σ per tier across wires, binary bytes well below\n\
+  finish "E22" ~smoke
+    [
+      ("rows", json_arr rows);
+      ("checks", json_arr checks);
+      ( "strict_wire",
+        json_obj
+          ([
+             ("events", string_of_int strict.events);
+             ("messages", string_of_int strict.stats.messages);
+             ("payload_decodes", string_of_int strict.payload_decodes);
+           ]
+          @ strict_gates) );
+      ( "relay",
+        json_obj
+          [
+            ("payload_decodes", string_of_int relay_decodes);
+            ("ns_per_frame", json_f relay_ns);
+          ] );
+    ]
+    "identical Σ per tier across wires, binary bytes well below\n\
      the XML model, batched-binary wall and words/event at or below the\n\
-     batched-XML arm, and zero relay payload decodes\n"
+     batched-XML arm, and zero relay payload decodes"
 
 (* --- E23: adaptive replica placement ------------------------------ *)
 
@@ -2837,23 +2654,19 @@ let e22 ?(smoke = false) () =
    static placement on the hotspot workload: a handful of documents
    draw 90 % of a closed-loop read population while streaming appends
    keep them live.  Serving a read costs real CPU at the serving peer
-   (0.4 cpu-ms/KB), so a static system queues at the hot owners; the
+   (3 cpu-ms/KB), so a static system queues at the hot owners; the
    controller watches windowed Timeseries signals, ships the hot
    documents to idle spares mid-stream and steers reads to the least
-   loaded replica.  Two tiers: calm links, and a chaos tier (random
-   drops/duplicates/jitter quiet by 400 ms, a 150 ms partition of a
-   spare, an owner crash/restart with failover) — the same fault plan
-   on both arms.  Gates:
+   loaded replica.  Two tiers: calm links, and a chaos tier
+   ({!Run.chaos_plan}: random drops/duplicates/jitter quiet by 400 ms,
+   a 150 ms partition of a spare, an owner crash/restart with failover)
+   — the same fault plan on both arms.  Gates:
    - every run quiesces with every read served;
    - all four runs agree on the final Σ content fingerprint — the
      controller never changes answers, even under faults;
    - the adaptive arm actually commits migrations and beats static on
      p95/p99 read latency and/or bytes (it is allowed to spend bytes:
      replication is traffic). *)
-
-module Placement = Runtime.Placement
-module Sc = Workload.Scenarios
-
 let e23 ?(smoke = false) () =
   section
     (if smoke then "E23  adaptive replica placement (smoke)"
@@ -2865,253 +2678,97 @@ let e23 ?(smoke = false) () =
      picks + the §17 migration controller), on calm links and under a\n\
      chaos plan; Σ content must agree across all four runs while the\n\
      adaptive arm relieves the hot-owner queue\n\n";
-  let owners, spares, readers, docs, reads_per_reader =
+  let owners, spares, readers, docs, reads =
     if smoke then (4, 2, 16, 12, 10) else (6, 4, 32, 40, 50)
   in
   let appends, append_every_ms, payload_bytes =
     if smoke then (4, 10.0, 1024) else (6, 40.0, 2048)
   in
-  (* Serving a read is CPU work at the serving peer; at 3 cpu-ms/KB a
-     hot owner saturates under the closed-loop population, which is
-     exactly the queue the controller is supposed to drain. *)
-  let cpu_ms_per_kb = 3.0 in
-  let hot_fraction = 0.1 and hot_share = 0.9 and seed = 11 in
-  let chaos_plan (hs : Sc.hotspot) =
-    (* Probabilistic faults quiet by 400 ms shape the read tails; the
-       owner crash sits after the read streams drain (and past quiet +
-       max retransmission backoff, 32·rto = 1280 ms — the discipline
-       under which the WAL-modelled transport provably converges, see
-       test_fault.ml).  A mid-stream crash would eat in-flight eval
-       state — volatile by design — so it gates Σ convergence through
-       failover + replica resync, not the latency table. *)
-    let island = [ List.hd hs.Sc.hs_spares ] in
-    let victim = List.hd hs.Sc.hs_owners in
-    Net.Fault.make
-      ~profile:{ Net.Fault.drop = 0.12; duplicate = 0.04; jitter_ms = 2.0 }
-      ~events:
-        [
-          Net.Fault.Partition
+  let run ~chaos adaptive =
+    Run.exec
+      {
+        Run.shape =
+          Run.Hotspot
             {
-              island;
-              window = Net.Fault.window ~from_ms:100.0 ~until_ms:250.0;
+              owners; spares; readers; docs; reads; appends; append_every_ms;
+              payload_bytes; wire = System.Xml; adaptive; chaos;
             };
-          Net.Fault.Crash
-            { peer = victim; at_ms = 8000.0; restart_ms = Some 8250.0 };
-        ]
-      ~quiet_after_ms:400.0 ~seed:23 ()
+        seed = 11;
+        obs = Run.obs_off;
+      }
   in
-  let pct l q =
-    match List.sort compare l with
-    | [] -> Float.nan
-    | sorted ->
-        let a = Array.of_list sorted in
-        let n = Array.length a in
-        let i = int_of_float (ceil (q *. float_of_int n)) - 1 in
-        a.(max 0 (min (n - 1) i))
+  let tiers =
+    List.map
+      (fun (tier, chaos) ->
+        (tier, [ ("static", run ~chaos false); ("adaptive", run ~chaos true) ]))
+      [ ("calm", false); ("chaos", true) ]
   in
-  let run_arm ~chaos ~adaptive =
-    let reg = Obs.Timeseries.default in
-    if adaptive then begin
-      Obs.Timeseries.set_window reg 10.0;
-      Obs.Timeseries.set_enabled reg true
-    end;
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.Timeseries.set_enabled reg false;
-        Obs.Timeseries.set_window reg 100.0)
-    @@ fun () ->
-    let hs =
-      Sc.hotspot ~owners ~spares ~readers ~docs ~hot_fraction ~hot_share
-        ~reads_per_reader ~appends ~append_every_ms ~payload_bytes
-        ~think_ms:2.0 ~arrival_window_ms:100.0 ~steered:adaptive
-        ~cpu_ms_per_kb ~seed ()
-    in
-    let sys = hs.Sc.hs_system in
-    let storage = hs.Sc.hs_owners @ hs.Sc.hs_spares in
-    if chaos then ignore (Runtime.Failover.enable sys);
-    let ctl =
-      if adaptive then
-        Some
-          (Placement.enable
-             ~cfg:
-               {
-                 Placement.default_config with
-                 tick_ms = 20.0;
-                 windows = 3;
-                 hot_rate = 100.0;
-                 migrations_per_tick = 2;
-                 seed = seed + 99;
-                 eligible =
-                   Some (fun p -> List.exists (Net.Peer_id.equal p) storage);
-               }
-             sys)
-      else None
-    in
-    if chaos then System.inject_faults sys (chaos_plan hs);
-    let t0 = Sys.time () in
-    let outcome, events = System.run sys in
-    let wall = Sys.time () -. t0 in
-    let st = System.stats sys in
-    let lats = !(hs.Sc.hs_latencies) in
-    let committed =
-      match ctl with
-      | Some c -> (Placement.stats c).Placement.s_committed
-      | None -> 0
-    in
-    let ok =
-      outcome = `Quiescent
-      && !(hs.Sc.hs_completed) = hs.Sc.hs_requests
-      && !(hs.Sc.hs_unserved) = 0
-    in
-    ( events, !(hs.Sc.hs_completed), !(hs.Sc.hs_unserved), pct lats 0.50,
-      pct lats 0.95, pct lats 0.99, st.Net.Stats.messages, st.Net.Stats.bytes,
-      committed, System.content_fingerprint sys, wall, ok )
-  in
-  let tiers = [ ("calm", false); ("chaos", true) ] in
-  let arms = [ ("static", false); ("adaptive", true) ] in
   let rows =
     List.concat_map
-      (fun (tier, chaos) ->
-        List.map
-          (fun (arm, adaptive) -> (tier, arm, run_arm ~chaos ~adaptive))
-          arms)
-      tiers
-  in
-  List.iter
-    (fun (tier, _) ->
-      Printf.printf "-- %s --\n" tier;
-      table
-        ~headers:
+      (fun (tier, runs) ->
+        Printf.printf "-- %s --\n" tier;
+        run_rows ~label:"arm" ~tag:[ ("tier", json_s tier) ]
           [
-            "arm"; "served"; "p50 ms"; "p95 ms"; "p99 ms"; "messages";
-            "bytes"; "migr"; "ok";
+            quiet c_events; { c_completed with head = "served" }; quiet c_unserved;
+            c_p 50; c_p 95; c_p 99; c_messages; c_bytes; c_migr;
+            quiet c_content_fp; quiet c_wall; c_ok;
           ]
-        (List.filter_map
-           (fun (t, arm, (_, served, _, p50, p95, p99, msgs, bytes, migr, _,
-                          _, ok)) ->
-             if t <> tier then None
-             else
-               Some
-                 [
-                   arm; string_of_int served;
-                   Printf.sprintf "%.1f" p50;
-                   Printf.sprintf "%.1f" p95;
-                   Printf.sprintf "%.1f" p99;
-                   string_of_int msgs; string_of_int bytes;
-                   string_of_int migr;
-                   (if ok then "yes" else "NO");
-                 ])
-           rows))
-    tiers;
-  let field tier arm f =
-    List.fold_left
-      (fun acc (t, a, row) -> if t = tier && a = arm then f row else acc)
-      Float.nan rows
-  in
-  let p95_of t a = field t a (fun (_, _, _, _, p, _, _, _, _, _, _, _) -> p) in
-  let p99_of t a = field t a (fun (_, _, _, _, _, p, _, _, _, _, _, _) -> p) in
-  let bytes_of t a =
-    field t a (fun (_, _, _, _, _, _, _, b, _, _, _, _) -> float_of_int b)
-  in
-  let migr_of t a =
-    field t a (fun (_, _, _, _, _, _, _, _, m, _, _, _) -> float_of_int m)
-  in
-  let fps =
-    List.map (fun (_, _, (_, _, _, _, _, _, _, _, _, fp, _, _)) -> fp) rows
-  in
-  let sigma_agree =
-    match fps with
-    | fp :: rest -> List.for_all (String.equal fp) rest
-    | [] -> false
-  in
-  let all_ok =
-    List.for_all (fun (_, _, (_, _, _, _, _, _, _, _, _, _, _, ok)) -> ok) rows
-  in
-  let checks =
-    List.map
-      (fun (tier, _) ->
-        let beats =
-          p95_of tier "adaptive" < p95_of tier "static"
-          || p99_of tier "adaptive" < p99_of tier "static"
-          || bytes_of tier "adaptive" < bytes_of tier "static"
-        in
-        let migrated = migr_of tier "adaptive" > 0.0 in
-        (tier, beats, migrated))
+          runs)
       tiers
+  in
+  let all = List.concat_map snd tiers in
+  let sigma_agree =
+    List.for_all
+      (fun (_, (r : Run.result)) ->
+        String.equal r.content_fingerprint (snd (List.hd all)).content_fingerprint)
+      all
   in
   Printf.printf "\nΣ content %s across all four runs\n"
     (if sigma_agree then "agrees" else "DIFFERS");
-  if not all_ok then Printf.printf "!! E23: an arm failed to complete\n";
-  List.iter
-    (fun (tier, beats, migrated) ->
-      if not migrated then
-        Printf.printf "!! E23 %s: the controller never committed a migration\n"
-          tier;
-      if not beats then
-        Printf.printf
-          "!! E23 %s: adaptive beat static on neither tail latency nor bytes\n"
-          tier
-      else
-        Printf.printf
-          "%s: adaptive p95 %.1f ms vs static %.1f ms (p99 %.1f vs %.1f), \
-           %.2fx bytes, %.0f migrations\n"
-          tier (p95_of tier "adaptive") (p95_of tier "static")
-          (p99_of tier "adaptive") (p99_of tier "static")
-          (bytes_of tier "adaptive" /. Float.max 1.0 (bytes_of tier "static"))
-          (migr_of tier "adaptive"))
-    checks;
-  let rows_json =
-    json_arr
-      (List.map
-         (fun (tier, arm, (events, served, unserved, p50, p95, p99, msgs,
-                           bytes, migr, fp, wall, ok)) ->
-           json_obj
-             [
-               ("tier", json_s tier);
-               ("arm", json_s arm);
-               ("events", string_of_int events);
-               ("served", string_of_int served);
-               ("unserved", string_of_int unserved);
-               ("p50_ms", json_f p50);
-               ("p95_ms", json_f p95);
-               ("p99_ms", json_f p99);
-               ("messages", string_of_int msgs);
-               ("bytes", string_of_int bytes);
-               ("migrations_committed", string_of_int migr);
-               ("fingerprint", json_s fp);
-               ("wall_s", json_f wall);
-               ("quiescent_and_complete", json_b ok);
-             ])
-         rows)
+  let run_gates =
+    gates
+      [
+        ( "sigma_agrees_across_runs", sigma_agree,
+          "E23: the runs disagree on the final Σ content" );
+        ( "all_arms_complete",
+          List.for_all (fun (_, r) -> Run.ok r) all,
+          "E23: an arm failed to complete" );
+      ]
   in
-  let checks_json =
-    json_arr
-      (List.map
-         (fun (tier, beats, migrated) ->
-           json_obj
-             [
-               ("tier", json_s tier);
-               ("adaptive_beats_static", json_b beats);
-               ("controller_migrated", json_b migrated);
-             ])
-         checks)
+  let checks =
+    List.map
+      (fun (tier, runs) ->
+        let s = List.assoc "static" runs and a = List.assoc "adaptive" runs in
+        let beats = p95 a < p95 s || p99 a < p99 s || a.stats.bytes < s.stats.bytes in
+        let fields =
+          gates
+            [
+              ( "controller_migrated", migrations a > 0,
+                Printf.sprintf
+                  "E23 %s: the controller never committed a migration" tier );
+              ( "adaptive_beats_static", beats,
+                Printf.sprintf
+                  "E23 %s: adaptive beat static on neither tail latency nor bytes"
+                  tier );
+            ]
+        in
+        if beats then
+          Printf.printf
+            "%s: adaptive p95 %.1f ms vs static %.1f ms (p99 %.1f vs %.1f), \
+             %.2fx bytes, %d migrations\n"
+            tier (p95 a) (p95 s) (p99 a) (p99 s)
+            (float_of_int a.stats.bytes /. Float.max 1.0 (float_of_int s.stats.bytes))
+            (migrations a);
+        json_obj (("tier", json_s tier) :: fields))
+      tiers
   in
-  write_json "BENCH_E23.json"
-    (json_obj
-       [
-         ("experiment", json_s "E23");
-         ("smoke", json_b smoke);
-         ("rows", rows_json);
-         ("checks", checks_json);
-         ("sigma_agrees_across_runs", json_b sigma_agree);
-         ("all_arms_complete", json_b all_ok);
-       ]);
-  write_summary ();
-  Printf.printf
-    "\nwrote BENCH_E23.json and BENCH_summary.json\n\
-     shape: identical Σ across static/adaptive × calm/chaos, the\n\
+  finish "E23" ~smoke
+    (("rows", json_arr rows) :: ("checks", json_arr checks) :: run_gates)
+    "identical Σ across static/adaptive × calm/chaos, the\n\
      controller committing migrations on both tiers and pulling the\n\
-     hot-owner read tail below the static arm's\n"
+     hot-owner read tail below the static arm's"
+
+(* --- E24: semantic result cache ----------------------------------- *)
 
 let e24 ?(smoke = false) () =
   section
@@ -3125,150 +2782,65 @@ let e24 ?(smoke = false) () =
      §18) on the same shape and seed.  The gate is byte-identical\n\
      per-request result digests and Σ content across the two arms,\n\
      with the cached arm strictly cheaper on bytes AND completion\n\n";
-  let sources, subscribers, queries_per_subscriber, rounds, items =
+  let sources, subscribers, queries, rounds, items =
     if smoke then (3, 8, 3, 3, 12) else (4, 24, 4, 4, 24)
   in
-  let overlap_pct = 0.6 and mutate_fraction = 0.25 and seed = 24 in
-  let pct l q =
-    match List.sort compare l with
-    | [] -> Float.nan
-    | sorted ->
-        let a = Array.of_list sorted in
-        let n = Array.length a in
-        let i = int_of_float (ceil (q *. float_of_int n)) - 1 in
-        a.(max 0 (min (n - 1) i))
+  let run cache =
+    Run.exec
+      {
+        Run.shape =
+          Run.Overlap
+            { sources; subscribers; queries; rounds; overlap_pct = 0.6; items; cache };
+        seed = 24;
+        obs = Run.obs_off;
+      }
   in
-  let run_arm ~cache =
-    let ov =
-      Sc.overlap ~sources ~subscribers ~queries_per_subscriber ~rounds
-        ~overlap_pct ~items ~mutate_fraction ~cache ~seed ()
-    in
-    let sys = ov.Sc.ov_system in
-    let t0 = Sys.time () in
-    let outcome, events = System.run sys in
-    let wall = Sys.time () -. t0 in
-    let st = System.stats sys in
-    let qs = System.qcache_stats sys in
-    let lats = !(ov.Sc.ov_latencies) in
-    let ok = outcome = `Quiescent && !(ov.Sc.ov_completed) = ov.Sc.ov_requests in
-    ( events, !(ov.Sc.ov_completed), pct lats 0.50, pct lats 0.95,
-      st.Net.Stats.messages, st.Net.Stats.bytes,
-      st.Net.Stats.completion_ms, qs,
-      List.sort String.compare !(ov.Sc.ov_digests),
-      System.content_fingerprint sys, wall, ok )
-  in
-  let arms = [ ("cache-off", false); ("cache-on", true) ] in
-  let rows = List.map (fun (arm, cache) -> (arm, run_arm ~cache)) arms in
-  table
-    ~headers:
+  let off = run false and on = run true in
+  let rows =
+    run_rows ~label:"arm"
       [
-        "arm"; "completed"; "p50 ms"; "p95 ms"; "messages"; "bytes";
-        "done ms"; "hits"; "inval"; "ok";
+        quiet c_events; c_completed; c_p 50; c_p 95; c_messages; c_bytes;
+        c_done "done ms" "%.1f"; c_hits; c_misses; c_inval; c_installs;
+        quiet c_content_fp; quiet c_wall; c_ok;
       ]
-    (List.map
-       (fun (arm, (_, completed, p50, p95, msgs, bytes, done_ms, qs, _, _,
-                   _, ok)) ->
-         [
-           arm; string_of_int completed;
-           Printf.sprintf "%.1f" p50;
-           Printf.sprintf "%.1f" p95;
-           string_of_int msgs; string_of_int bytes;
-           Printf.sprintf "%.1f" done_ms;
-           string_of_int qs.Query.Qcache.hits;
-           string_of_int
-             (qs.Query.Qcache.invalidations + qs.Query.Qcache.stale_drops);
-           (if ok then "yes" else "NO");
-         ])
-       rows);
-  let get arm f = f (List.assoc arm rows) in
-  let digests_of (_, _, _, _, _, _, _, _, d, _, _, _) = d in
-  let bytes_of (_, _, _, _, _, b, _, _, _, _, _, _) = b in
-  let done_of (_, _, _, _, _, _, d, _, _, _, _, _) = d in
-  let fp_of (_, _, _, _, _, _, _, _, _, fp, _, _) = fp in
-  let ok_of (_, _, _, _, _, _, _, _, _, _, _, ok) = ok in
-  let qs_on = get "cache-on" (fun (_, _, _, _, _, _, _, q, _, _, _, _) -> q) in
-  let digests_agree =
-    get "cache-off" digests_of = get "cache-on" digests_of
+      [ ("cache-off", off); ("cache-on", on) ]
   in
-  let sigma_agree =
-    String.equal (get "cache-off" fp_of) (get "cache-on" fp_of)
-  in
-  let all_ok = List.for_all (fun (_, row) -> ok_of row) rows in
-  let bytes_win = get "cache-on" bytes_of < get "cache-off" bytes_of in
-  let completion_win = get "cache-on" done_of < get "cache-off" done_of in
-  let cache_fired = qs_on.Query.Qcache.hits > 0 in
-  let invalidated =
-    qs_on.Query.Qcache.invalidations + qs_on.Query.Qcache.stale_drops > 0
-  in
+  let digests_agree = off.digests = on.digests in
+  let sigma_agree = String.equal off.content_fingerprint on.content_fingerprint in
+  let bytes_win = on.stats.bytes < off.stats.bytes in
+  let completion_win = on.stats.completion_ms < off.stats.completion_ms in
   Printf.printf "\nper-request digests %s across the arms; Σ content %s\n"
     (if digests_agree then "byte-identical" else "DIFFER")
     (if sigma_agree then "agrees" else "DIFFERS");
-  if not all_ok then Printf.printf "!! E24: an arm failed to complete\n";
-  if not cache_fired then Printf.printf "!! E24: the cache never hit\n";
-  if not invalidated then
-    Printf.printf "!! E24: the mutations never invalidated an entry\n";
+  let fields =
+    gates
+      [
+        ( "digests_identical_across_arms", digests_agree,
+          "E24: per-request digests differ across the arms" );
+        ( "sigma_agrees_across_arms", sigma_agree,
+          "E24: the arms disagree on the final Σ content" );
+        ( "all_arms_complete", Run.ok off && Run.ok on,
+          "E24: an arm failed to complete" );
+        ("cache_hits_nonzero", on.qcache.hits > 0, "E24: the cache never hit");
+        ( "invalidation_exercised", invalidations on > 0,
+          "E24: the mutations never invalidated an entry" );
+        ("bytes_strictly_lower", bytes_win, "E24: cache-on bytes NOT lower");
+        ( "completion_strictly_lower", completion_win,
+          "E24: cache-on completion NOT lower" );
+      ]
+  in
   if bytes_win && completion_win then
     Printf.printf
       "cache-on: %.2fx bytes, %.2fx completion (%d hits / %d misses, %d \
        invalidations)\n"
-      (float_of_int (get "cache-on" bytes_of)
-      /. Float.max 1.0 (float_of_int (get "cache-off" bytes_of)))
-      (get "cache-on" done_of /. Float.max 1.0 (get "cache-off" done_of))
-      qs_on.Query.Qcache.hits qs_on.Query.Qcache.misses
-      (qs_on.Query.Qcache.invalidations + qs_on.Query.Qcache.stale_drops)
-  else
-    Printf.printf
-      "!! E24: cache-on was not strictly cheaper (bytes %s, completion %s)\n"
-      (if bytes_win then "ok" else "NOT lower")
-      (if completion_win then "ok" else "NOT lower");
-  let rows_json =
-    json_arr
-      (List.map
-         (fun (arm, (events, completed, p50, p95, msgs, bytes, done_ms, qs,
-                     _, fp, wall, ok)) ->
-           json_obj
-             [
-               ("arm", json_s arm);
-               ("events", string_of_int events);
-               ("completed", string_of_int completed);
-               ("p50_ms", json_f p50);
-               ("p95_ms", json_f p95);
-               ("messages", string_of_int msgs);
-               ("bytes", string_of_int bytes);
-               ("completion_ms", json_f done_ms);
-               ("cache_hits", string_of_int qs.Query.Qcache.hits);
-               ("cache_misses", string_of_int qs.Query.Qcache.misses);
-               ( "cache_invalidations",
-                 string_of_int
-                   (qs.Query.Qcache.invalidations
-                  + qs.Query.Qcache.stale_drops) );
-               ("cache_installs", string_of_int qs.Query.Qcache.installs);
-               ("fingerprint", json_s fp);
-               ("wall_s", json_f wall);
-               ("quiescent_and_complete", json_b ok);
-             ])
-         rows)
-  in
-  write_json "BENCH_E24.json"
-    (json_obj
-       [
-         ("experiment", json_s "E24");
-         ("smoke", json_b smoke);
-         ("rows", rows_json);
-         ("digests_identical_across_arms", json_b digests_agree);
-         ("sigma_agrees_across_arms", json_b sigma_agree);
-         ("all_arms_complete", json_b all_ok);
-         ("cache_hits_nonzero", json_b cache_fired);
-         ("invalidation_exercised", json_b invalidated);
-         ("bytes_strictly_lower", json_b bytes_win);
-         ("completion_strictly_lower", json_b completion_win);
-       ]);
-  write_summary ();
-  Printf.printf
-    "\nwrote BENCH_E24.json and BENCH_summary.json\n\
-     shape: identical digests and Σ across cache-off/cache-on, the\n\
+      (float_of_int on.stats.bytes /. Float.max 1.0 (float_of_int off.stats.bytes))
+      (on.stats.completion_ms /. Float.max 1.0 off.stats.completion_ms)
+      on.qcache.hits on.qcache.misses (invalidations on);
+  finish "E24" ~smoke
+    (("rows", json_arr rows) :: fields)
+    "identical digests and Σ across cache-off/cache-on, the\n\
      cached arm strictly lower on both bytes and completion, with\n\
-     non-zero hits and exercised invalidation\n"
+     non-zero hits and exercised invalidation"
 
 let all =
   [

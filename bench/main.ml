@@ -22,7 +22,8 @@
    E17-E24 each write a BENCH_E<n>.json artifact to the current
    directory, then regenerate BENCH_summary.json — a uniform
    {schema_version, experiments: {E17: ..., ...}} envelope embedding
-   every artifact present; --smoke shrinks them to CI size. *)
+   every artifact present; --smoke shrinks them to CI size.  The exit
+   status is non-zero when a hard ("!!") check of E20-E24 failed. *)
 
 open Axml
 open Bench_util
@@ -280,30 +281,26 @@ let run_micro () =
 
 let () =
   let args = Array.to_list Sys.argv in
-  let tables_only = List.mem "--tables" args in
-  let micro_only = List.mem "--micro" args in
-  let e17_only = List.mem "--e17" args in
-  let e18_only = List.mem "--e18" args in
-  let e19_only = List.mem "--e19" args in
-  let e20_only = List.mem "--e20" args in
-  let e21_only = List.mem "--e21" args in
-  let e22_only = List.mem "--e22" args in
-  let e23_only = List.mem "--e23" args in
-  let e24_only = List.mem "--e24" args in
   let smoke = List.mem "--smoke" args in
-  if e17_only then Experiments.e17 ~smoke ()
-  else if e18_only then Experiments.e18 ~smoke ()
-  else if e19_only then Experiments.e19 ~smoke ()
-  else if e20_only then Experiments.e20 ~smoke ()
-  else if e21_only then Experiments.e21 ~smoke ()
-  else if e22_only then Experiments.e22 ~smoke ()
-  else if e23_only then Experiments.e23 ~smoke ()
-  else if e24_only then Experiments.e24 ~smoke ()
-  else begin
-    if not micro_only then begin
-      print_endline "AXML framework experiment harness (see EXPERIMENTS.md)";
-      List.iter (fun e -> e ()) Experiments.all
-    end;
-    if not tables_only then run_micro ()
-  end;
-  print_newline ()
+  let single =
+    [
+      ("--e17", Experiments.e17); ("--e18", Experiments.e18);
+      ("--e19", Experiments.e19); ("--e20", Experiments.e20);
+      ("--e21", Experiments.e21); ("--e22", Experiments.e22);
+      ("--e23", Experiments.e23); ("--e24", Experiments.e24);
+    ]
+  in
+  (match List.find_opt (fun (flag, _) -> List.mem flag args) single with
+  | Some (_, e) -> e ~smoke ()
+  | None ->
+      if not (List.mem "--micro" args) then begin
+        print_endline "AXML framework experiment harness (see EXPERIMENTS.md)";
+        List.iter (fun e -> e ()) Experiments.all
+      end;
+      if not (List.mem "--tables" args) then run_micro ());
+  print_newline ();
+  if !Experiments.hard_failures > 0 then begin
+    Printf.eprintf "%d hard check(s) of E20-E24 failed (the !! lines above)\n"
+      !Experiments.hard_failures;
+    exit 1
+  end

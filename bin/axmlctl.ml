@@ -728,135 +728,139 @@ let chaos_cmd =
     Term.(
       const run $ seed $ drop $ raw $ flush_ms $ ack_delay $ wire_arg $ slo_arg)
 
+(* --- scenario front ends: scale, place, cache, top ---------------- *)
+
+(* Each builds a Workload.Run spec, runs it and renders the result; the
+   scenario set-up, event budget, GC policy and measurement bracket
+   live in Run (DESIGN.md "Run harness"). *)
+
+module Run = Workload.Run
+
+let int_arg name default ~docv ~doc =
+  Arg.(value & opt int default & info [ name ] ~docv ~doc)
+
+let seed_arg default =
+  Arg.(value & opt int default & info [ "seed" ] ~doc:"Scenario seed")
+
+let exec_or_die spec =
+  match Run.validate spec with
+  | Ok () -> Run.exec spec
+  | Error msg ->
+      prerr_endline ("error: " ^ msg);
+      exit 1
+
+let outcome_text (r : Run.result) =
+  match r.outcome with
+  | `Quiescent -> Printf.sprintf "quiescent in %d events" r.events
+  | `Budget_exhausted -> "BUDGET EXHAUSTED"
+
+let short_fp fp = String.sub fp 0 (min 12 (String.length fp))
+
+(* The flash-crowd shape of scale and top. *)
+type crowd = {
+  peers : int;
+  subscribers : int;
+  requests : int;
+  seed : int;
+  reliable : bool;
+}
+
+let crowd_term =
+  let crowd peers subscribers requests seed reliable =
+    { peers; subscribers; requests; seed; reliable }
+  in
+  Term.(
+    const crowd
+    $ int_arg "peers" 100 ~docv:"N"
+        ~doc:
+          "Total peer count: one publisher, $(b,--subscribers) subscribers, \
+           and the rest mirrors"
+    $ int_arg "subscribers" 80 ~docv:"M" ~doc:"Subscriber count"
+    $ int_arg "requests" 4 ~docv:"R" ~doc:"Requests per subscriber"
+    $ seed_arg 1
+    $ Arg.(
+        value & flag
+        & info [ "reliable" ] ~doc:"Use the Reliable transport (default: Raw)"))
+
+let crowd_spec c ~wire ~obs =
+  {
+    Run.shape =
+      Run.Crowd
+        {
+          mirrors = c.peers - c.subscribers - 1;
+          subscribers = c.subscribers;
+          requests = c.requests;
+          transport =
+            (if c.reliable then Runtime.System.Reliable else Runtime.System.Raw);
+          wire;
+          flush_ms = 0.0;
+          ack_delay_ms = 0.0;
+        };
+    seed = c.seed;
+    obs;
+  }
+
+let transport_name c = if c.reliable then "reliable" else "raw"
+
+let crowd_headline c =
+  Printf.sprintf
+    "peers %d (1 publisher, %d mirrors, %d subscribers), seed %d, %s transport"
+    c.peers (c.peers - c.subscribers - 1) c.subscribers c.seed (transport_name c)
+
 (* --- scale ------------------------------------------------------- *)
 
 let scale_cmd =
-  let peers =
-    Arg.(
-      value & opt int 100
-      & info [ "peers" ] ~docv:"N"
-          ~doc:
-            "Total peer count: one publisher, $(b,--subscribers) \
-             subscribers, and the rest mirrors")
-  in
-  let subscribers =
-    Arg.(
-      value & opt int 80
-      & info [ "subscribers" ] ~docv:"M" ~doc:"Subscriber count")
-  in
-  let requests =
-    Arg.(
-      value & opt int 4
-      & info [ "requests" ] ~docv:"R" ~doc:"Requests per subscriber")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Scenario seed") in
-  let reliable =
-    Arg.(
-      value & flag
-      & info [ "reliable" ]
-          ~doc:"Use the Reliable transport (default: Raw)")
-  in
-  let run peers subscribers requests seed reliable wire slo =
-    let mirrors = peers - subscribers - 1 in
-    if mirrors < 1 then begin
-      prerr_endline
-        "error: --peers must exceed --subscribers by at least 2 (one \
-         publisher, one mirror)";
-      exit 1
-    end;
-    let transport =
-      if reliable then Runtime.System.Reliable else Runtime.System.Raw
-    in
-    let fc =
-      Workload.Scenarios.flash_crowd ~mirrors ~subscribers
-        ~requests_per_subscriber:requests ~transport ~wire ~seed ()
-    in
-    let sys = fc.Workload.Scenarios.fc_system in
-    let budget = (8 * fc.Workload.Scenarios.fc_requests) + (40 * peers) + 10_000 in
-    (* Simulation-scale nursery: keeps the ~[subscribers] concurrent
-       requests' in-flight state from being promoted wholesale (see
-       bench E20). *)
-    Gc.set { (Gc.get ()) with Gc.minor_heap_size = 8 * 1024 * 1024 };
-    let w0 = Gc.minor_words () in
-    let wall0 = Sys.time () in
-    let outcome, events = Runtime.System.run ~max_events:budget sys in
-    let wall = Sys.time () -. wall0 in
-    let words = Gc.minor_words () -. w0 in
-    (match outcome with
-    | `Quiescent -> ()
-    | `Budget_exhausted ->
-        Format.eprintf "warning: event budget (%d) exhausted@." budget);
-    let stats = Runtime.System.stats sys in
-    let completed = !(fc.Workload.Scenarios.fc_completed) in
-    Format.printf
-      "peers %d (1 publisher, %d mirrors, %d subscribers), seed %d, %s \
-       transport@."
-      peers mirrors subscribers seed
-      (if reliable then "reliable" else "raw");
+  let run c wire slo =
+    let r = exec_or_die (crowd_spec c ~wire ~obs:Run.obs_off) in
+    if r.outcome = `Budget_exhausted then
+      Format.eprintf "warning: event budget (%d) exhausted@." r.budget;
+    Format.printf "%s@." (crowd_headline c);
     (match wire with
     | Runtime.System.Xml -> ()
     | Runtime.System.Binary -> Format.printf "wire      binary@."
     | Runtime.System.Binary_strict -> Format.printf "wire      binary-strict@.");
-    Format.printf "requests  %d issued, %d completed, %d unserved@."
-      fc.Workload.Scenarios.fc_requests completed
-      !(fc.Workload.Scenarios.fc_unserved);
+    Format.printf "requests  %d issued, %d completed, %d unserved@." r.requests
+      r.completed r.unserved;
     Format.printf "events    %d (%.0f events/sec, %.3f s wall, %.1f words/event)@."
-      events
-      (float_of_int events /. Float.max 1e-9 wall)
-      wall
-      (words /. float_of_int (max 1 events));
-    Format.printf "completion_ms %.0f@." stats.Net.Stats.completion_ms;
+      r.events
+      (float_of_int r.events /. Float.max 1e-9 r.wall_s)
+      r.wall_s
+      (r.minor_words /. float_of_int (max 1 r.events));
+    Format.printf "completion_ms %.0f@." r.stats.completion_ms;
     (* Per-tier byte totals: aggregate the per-link matrix by the tier
        of each endpoint. *)
-    let tier_of =
-      let tiers = Hashtbl.create (2 * peers) in
-      Hashtbl.replace tiers
-        (Net.Peer_id.index fc.Workload.Scenarios.fc_publisher)
-        "publisher";
-      List.iter
-        (fun m -> Hashtbl.replace tiers (Net.Peer_id.index m) "mirror")
-        fc.Workload.Scenarios.fc_mirrors;
-      List.iter
-        (fun s -> Hashtbl.replace tiers (Net.Peer_id.index s) "subscriber")
-        fc.Workload.Scenarios.fc_subscribers;
-      fun p ->
-        Option.value ~default:"?"
-          (Hashtbl.find_opt tiers (Net.Peer_id.index p))
+    let tier_of p =
+      List.find_map
+        (fun (q, tier) -> if Net.Peer_id.equal p q then Some tier else None)
+        r.roles
+      |> Option.value ~default:"?"
     in
     let totals = Hashtbl.create 8 in
     List.iter
       (fun ((src, dst), (msgs, bytes)) ->
         let key = (tier_of src, tier_of dst) in
-        let m0, b0 =
-          Option.value ~default:(0, 0) (Hashtbl.find_opt totals key)
-        in
+        let m0, b0 = Option.value ~default:(0, 0) (Hashtbl.find_opt totals key) in
         Hashtbl.replace totals key (m0 + msgs, b0 + bytes))
-      stats.Net.Stats.per_link;
+      r.stats.per_link;
     Format.printf "@.%-24s %10s %14s@." "tier" "messages" "bytes";
     List.iter
       (fun ((src, dst), (msgs, bytes)) ->
-        Format.printf "%-24s %10d %14d@."
-          (src ^ " -> " ^ dst)
-          msgs bytes)
-      (List.sort compare
-         (Hashtbl.fold (fun k v acc -> (k, v) :: acc) totals []));
-    (if slo then begin
-       let rc = Runtime.System.reliability_counters sys in
-       let unserved = !(fc.Workload.Scenarios.fc_unserved) in
-       let exhausted = outcome = `Budget_exhausted in
-       if unserved > 0 || rc.Runtime.System.abandoned > 0 || exhausted then begin
+        Format.printf "%-24s %10d %14d@." (src ^ " -> " ^ dst) msgs bytes)
+      (List.sort compare (List.of_seq (Hashtbl.to_seq totals)));
+    (if slo then
+       let exhausted = r.outcome = `Budget_exhausted in
+       if r.unserved > 0 || r.reliability.abandoned > 0 || exhausted then begin
          Format.eprintf
            "SLO breach: %d unserved request(s), %d abandoned \
             delivery(ies)%s@."
-           unserved rc.Runtime.System.abandoned
+           r.unserved r.reliability.abandoned
            (if exhausted then ", event budget exhausted" else "");
          exit 3
        end
-       else Format.printf "SLO: no breaches@."
-     end);
-    if completed < fc.Workload.Scenarios.fc_requests then begin
+       else Format.printf "SLO: no breaches@.");
+    if r.completed < r.requests then begin
       Format.eprintf "error: %d request(s) never completed@."
-        (fc.Workload.Scenarios.fc_requests - completed);
+        (r.requests - r.completed);
       exit 1
     end
   in
@@ -866,9 +870,7 @@ let scale_cmd =
          "Run the web-scale flash-crowd scenario (one publisher, a mirror \
           pool behind a generic fetch class, a subscriber crowd) and print \
           throughput plus per-tier traffic totals")
-    Term.(
-      const run $ peers $ subscribers $ requests $ seed $ reliable $ wire_arg
-      $ slo_arg)
+    Term.(const run $ crowd_term $ wire_arg $ slo_arg)
 
 (* --- place ------------------------------------------------------- *)
 
@@ -878,202 +880,91 @@ let scale_cmd =
    the DESIGN.md §17 migration controller) — and print read-latency
    tails, traffic totals and the adaptive arm's migration schedule.
    The two arms must agree on the final Σ content fingerprint: the
-   controller moves replicas, never answers. *)
+   controller moves replicas, never answers.  The defaults are bench
+   E23's smoke shape: [place] and [place --chaos] print E23 smoke's
+   calm and chaos rows. *)
 
 let place_cmd =
-  let owners =
-    Arg.(
-      value & opt int 4
-      & info [ "owners" ] ~docv:"N" ~doc:"Document-owning peers")
-  in
-  let spares =
-    Arg.(
-      value & opt int 2
-      & info [ "spares" ] ~docv:"N"
-          ~doc:"Idle storage peers — natural migration targets")
-  in
-  let readers =
-    Arg.(value & opt int 16 & info [ "readers" ] ~docv:"N" ~doc:"Reader peers")
-  in
-  let docs =
-    Arg.(
-      value & opt int 12
-      & info [ "docs" ] ~docv:"N"
-          ~doc:"Documents; 10% are hot and draw 90% of reads")
-  in
-  let reads =
-    Arg.(
-      value & opt int 10
-      & info [ "reads" ] ~docv:"R" ~doc:"Reads per reader (closed loop)")
-  in
-  let appends =
-    Arg.(
-      value & opt int 4
-      & info [ "appends" ] ~docv:"K"
-          ~doc:"Streaming appends per hot document")
-  in
-  let seed = Arg.(value & opt int 11 & info [ "seed" ] ~doc:"Scenario seed") in
   let chaos =
     Arg.(
       value & flag
       & info [ "chaos" ]
           ~doc:
-            "Inject a chaos plan aimed at the hotspot: random drops, \
-             duplicates and jitter quiet by 400 ms, plus a 150 ms \
-             partition of the hottest document's owner — the same plan \
-             on both arms")
+            "Inject bench E23's chaos plan: random drops, duplicates and \
+             jitter quiet by 400 ms, a 150 ms partition of a spare, and a \
+             crash/restart of an owner with failover — the same plan on \
+             both arms")
   in
   let run owners spares readers docs reads appends seed chaos wire slo =
-    if owners < 1 || spares < 1 || readers < 1 || docs < 1 then begin
-      prerr_endline "error: --owners, --spares, --readers and --docs must be >= 1";
-      exit 1
-    end;
-    let pct l q =
-      match List.sort compare l with
-      | [] -> Float.nan
-      | sorted ->
-          let a = Array.of_list sorted in
-          let n = Array.length a in
-          let i = int_of_float (ceil (q *. float_of_int n)) - 1 in
-          a.(max 0 (min (n - 1) i))
-    in
     let run_arm adaptive =
-      let reg = Obs.Timeseries.default in
-      if adaptive then begin
-        Obs.Timeseries.set_window reg 10.0;
-        Obs.Timeseries.set_enabled reg true
-      end;
-      Fun.protect
-        ~finally:(fun () ->
-          Obs.Timeseries.set_enabled reg false;
-          Obs.Timeseries.set_window reg 100.0)
-      @@ fun () ->
-      let hs =
-        Workload.Scenarios.hotspot ~owners ~spares ~readers ~docs
-          ~hot_fraction:0.1 ~hot_share:0.9 ~reads_per_reader:reads ~appends
-          ~append_every_ms:10.0 ~payload_bytes:1024 ~think_ms:2.0
-          ~arrival_window_ms:100.0 ~steered:adaptive ~cpu_ms_per_kb:3.0 ~wire
-          ~seed ()
-      in
-      let sys = hs.Workload.Scenarios.hs_system in
-      let storage =
-        hs.Workload.Scenarios.hs_owners @ hs.Workload.Scenarios.hs_spares
-      in
-      let ctl =
-        if adaptive then
-          Some
-            (Runtime.Placement.enable
-               ~cfg:
-                 {
-                   Runtime.Placement.default_config with
-                   tick_ms = 20.0;
-                   windows = 3;
-                   hot_rate = 100.0;
-                   migrations_per_tick = 2;
-                   seed = seed + 99;
-                   eligible =
-                     Some (fun p -> List.exists (Net.Peer_id.equal p) storage);
-                 }
-               sys)
-        else None
-      in
-      if chaos then begin
-        (* Aim the partition at the hottest document's owner: the worst
-           place a fault can land for static placement, and exactly the
-           load the controller is supposed to route around. *)
-        let hot_owner =
-          match hs.Workload.Scenarios.hs_hot with
-          | h :: _ -> List.assoc h hs.Workload.Scenarios.hs_docs
-          | [] -> List.hd hs.Workload.Scenarios.hs_owners
-        in
-        Runtime.System.inject_faults sys
-          (Net.Fault.make
-             ~profile:
-               { Net.Fault.drop = 0.12; duplicate = 0.04; jitter_ms = 2.0 }
-             ~events:
-               [
-                 Net.Fault.Partition
-                   {
-                     island = [ hot_owner ];
-                     window = Net.Fault.window ~from_ms:100.0 ~until_ms:250.0;
-                   };
-               ]
-             ~quiet_after_ms:400.0 ~seed:(seed + 23) ())
-      end;
-      let outcome, events = Runtime.System.run sys in
-      let stats = Runtime.System.stats sys in
-      let rc = Runtime.System.reliability_counters sys in
-      (hs, ctl, outcome, events, stats, rc,
-       Runtime.System.content_fingerprint sys)
+      exec_or_die
+        {
+          Run.shape =
+            Run.Hotspot
+              {
+                owners; spares; readers; docs; reads; appends;
+                append_every_ms = 10.0; payload_bytes = 1024; wire; adaptive;
+                chaos;
+              };
+          seed;
+          obs = Run.obs_off;
+        }
     in
-    let hs_s, _, out_s, events_s, stats_s, rc_s, fp_s = run_arm false in
-    let hs_a, ctl_a, out_a, events_a, stats_a, rc_a, fp_a = run_arm true in
+    let static = run_arm false in
+    let adaptive = run_arm true in
     Format.printf
       "hotspot: %d owners, %d spares, %d readers, %d docs (10%% hot / 90%% \
        of reads), %d reads/reader, seed %d%s@.@."
       owners spares readers docs reads seed
       (if chaos then ", chaos plan on" else "");
-    let p95_of (hs : Workload.Scenarios.hotspot) =
-      pct !(hs.Workload.Scenarios.hs_latencies) 0.95
-    in
-    let row arm (hs : Workload.Scenarios.hotspot) out events
-        (stats : Net.Stats.snapshot) migr =
-      let lats = !(hs.Workload.Scenarios.hs_latencies) in
+    let p95 (r : Run.result) = Run.quantile r.latencies 0.95 in
+    let row arm (r : Run.result) =
       Format.printf
         "%-9s served %d/%d (unserved %d), p50 %.1f p95 %.1f p99 %.1f ms, \
          %d msgs, %d bytes, %d migration(s), %s@."
-        arm
-        !(hs.Workload.Scenarios.hs_completed)
-        hs.Workload.Scenarios.hs_requests
-        !(hs.Workload.Scenarios.hs_unserved)
-        (pct lats 0.50) (pct lats 0.95) (pct lats 0.99)
-        stats.Net.Stats.messages stats.Net.Stats.bytes migr
-        (match out with
-        | `Quiescent -> Printf.sprintf "quiescent in %d events" events
-        | `Budget_exhausted -> "BUDGET EXHAUSTED")
+        arm r.completed r.requests r.unserved
+        (Run.quantile r.latencies 0.50)
+        (p95 r)
+        (Run.quantile r.latencies 0.99)
+        r.stats.messages r.stats.bytes
+        (match r.placement with
+        | Some c -> (Runtime.Placement.stats c).s_committed
+        | None -> 0)
+        (outcome_text r)
     in
-    row "static" hs_s out_s events_s stats_s 0;
-    let migr =
-      match ctl_a with
-      | Some c -> (Runtime.Placement.stats c).Runtime.Placement.s_committed
-      | None -> 0
+    row "static" static;
+    row "adaptive" adaptive;
+    Option.iter
+      (Format.printf "@.migration schedule:@.%a@." Runtime.Placement.pp_schedule)
+      adaptive.placement;
+    let sigma_agree =
+      String.equal static.content_fingerprint adaptive.content_fingerprint
     in
-    row "adaptive" hs_a out_a events_a stats_a migr;
-    (match ctl_a with
-    | Some c ->
-        Format.printf "@.migration schedule:@.%a@." Runtime.Placement.pp_schedule c
-    | None -> ());
-    let sigma_agree = String.equal fp_s fp_a in
     Format.printf "\xCE\xA3 content %s across arms (%s)@."
       (if sigma_agree then "agrees" else "DIFFERS")
-      (String.sub fp_a 0 (min 12 (String.length fp_a)));
+      (short_fp adaptive.content_fingerprint);
     (* The SLO judges the controller arm: the static baseline is
        allowed to fail under chaos — that failure is the point. *)
-    ignore rc_s;
-    let unserved = !(hs_a.Workload.Scenarios.hs_unserved) in
-    let abandoned = rc_a.Runtime.System.abandoned in
     let tail_regressed =
-      let s = p95_of hs_s and a = p95_of hs_a in
+      let s = p95 static and a = p95 adaptive in
       Float.is_nan s || Float.is_nan a || a > 1.1 *. s
     in
     (if slo then
-       if (not sigma_agree) || unserved > 0 || abandoned > 0 || tail_regressed
+       if
+         (not sigma_agree) || adaptive.unserved > 0
+         || adaptive.reliability.abandoned > 0 || tail_regressed
        then begin
          Format.eprintf
            "SLO breach: %s%d unserved read(s), %d abandoned delivery(ies)%s@."
            (if sigma_agree then "" else "\xCE\xA3 mismatch, ")
-           unserved abandoned
+           adaptive.unserved adaptive.reliability.abandoned
            (if tail_regressed then
               ", adaptive p95 above 1.1x the static tail"
             else "");
          exit 3
        end
        else Format.printf "SLO: no breaches@.");
-    if
-      (not sigma_agree)
-      || !(hs_a.Workload.Scenarios.hs_completed)
-         < hs_a.Workload.Scenarios.hs_requests
-    then begin
+    if (not sigma_agree) || adaptive.completed < adaptive.requests then begin
       Format.eprintf
         "error: arms disagree on \xCE\xA3 or adaptive reads never completed@.";
       exit 1
@@ -1086,31 +977,20 @@ let place_cmd =
           the same seed, print latency tails, traffic and the migration \
           schedule, and cross-check the final \xCE\xA3 content fingerprints")
     Term.(
-      const run $ owners $ spares $ readers $ docs $ reads $ appends $ seed
-      $ chaos $ wire_arg $ slo_arg)
+      const run
+      $ int_arg "owners" 4 ~docv:"N" ~doc:"Document-owning peers"
+      $ int_arg "spares" 2 ~docv:"N"
+          ~doc:"Idle storage peers — natural migration targets"
+      $ int_arg "readers" 16 ~docv:"N" ~doc:"Reader peers"
+      $ int_arg "docs" 12 ~docv:"N"
+          ~doc:"Documents; 10% are hot and draw 90% of reads"
+      $ int_arg "reads" 10 ~docv:"R" ~doc:"Reads per reader (closed loop)"
+      $ int_arg "appends" 4 ~docv:"K" ~doc:"Streaming appends per hot document"
+      $ seed_arg 11 $ chaos $ wire_arg $ slo_arg)
 
 (* --- cache ------------------------------------------------------- *)
 
 let cache_cmd =
-  let sources =
-    Arg.(
-      value & opt int 3
-      & info [ "sources" ] ~docv:"N" ~doc:"Catalog-owning source peers")
-  in
-  let subscribers =
-    Arg.(
-      value & opt int 12
-      & info [ "subscribers" ] ~docv:"N" ~doc:"Subscriber peers")
-  in
-  let queries =
-    Arg.(
-      value & opt int 3
-      & info [ "queries" ] ~docv:"Q"
-          ~doc:"Queries per subscriber slate (re-issued every round)")
-  in
-  let rounds =
-    Arg.(value & opt int 3 & info [ "rounds" ] ~docv:"R" ~doc:"Rounds")
-  in
   let overlap =
     Arg.(
       value & opt float 0.6
@@ -1119,125 +999,84 @@ let cache_cmd =
             "Fraction of slate draws taken from the shared query pool \
              (0..1) — the cross-plan sharing the cache exploits")
   in
-  let seed = Arg.(value & opt int 11 & info [ "seed" ] ~doc:"Scenario seed") in
   let off =
     Arg.(
       value & flag
       & info [ "off" ]
           ~doc:"Run only the cache-off baseline (no comparison arm)")
   in
-  let run sources subscribers queries rounds overlap seed off slo =
-    if sources < 1 || subscribers < 1 || queries < 1 || rounds < 1 then begin
-      prerr_endline
-        "error: --sources, --subscribers, --queries and --rounds must be >= 1";
-      exit 1
-    end;
-    if overlap < 0.0 || overlap > 1.0 then begin
-      prerr_endline "error: --overlap must be within 0..1";
-      exit 1
-    end;
-    let pct l q =
-      match List.sort compare l with
-      | [] -> Float.nan
-      | sorted ->
-          let a = Array.of_list sorted in
-          let n = Array.length a in
-          let i = int_of_float (ceil (q *. float_of_int n)) - 1 in
-          a.(max 0 (min (n - 1) i))
-    in
+  let run sources subscribers queries rounds overlap_pct seed off slo =
     let run_arm cache =
-      let ov =
-        Workload.Scenarios.overlap ~sources ~subscribers
-          ~queries_per_subscriber:queries ~rounds ~overlap_pct:overlap ~cache
-          ~seed ()
-      in
-      let sys = ov.Workload.Scenarios.ov_system in
-      let outcome, events = Runtime.System.run sys in
-      ( ov, outcome, events,
-        Runtime.System.stats sys,
-        Runtime.System.qcache_stats sys,
-        List.sort String.compare !(ov.Workload.Scenarios.ov_digests),
-        Runtime.System.content_fingerprint sys )
+      exec_or_die
+        {
+          Run.shape =
+            Run.Overlap
+              { sources; subscribers; queries; rounds; overlap_pct; items = 24; cache };
+          seed;
+          obs = Run.obs_off;
+        }
     in
-    Format.printf
-      "overlap: %d sources, %d subscribers x %d queries x %d rounds, %.0f%% \
-       pool overlap, seed %d@.@."
-      sources subscribers queries rounds (overlap *. 100.0) seed;
-    let row arm (ov : Workload.Scenarios.overlap) out events
-        (stats : Net.Stats.snapshot) (qs : Query.Qcache.stats) =
-      let lats = !(ov.Workload.Scenarios.ov_latencies) in
+    let row arm (r : Run.result) =
       Format.printf
         "%-9s completed %d/%d, p50 %.1f p95 %.1f ms, %d msgs, %d bytes, \
          done %.1f ms, %d hit(s) / %d miss(es), %d invalidation(s), %s@."
-        arm
-        !(ov.Workload.Scenarios.ov_completed)
-        ov.Workload.Scenarios.ov_requests (pct lats 0.50) (pct lats 0.95)
-        stats.Net.Stats.messages stats.Net.Stats.bytes
-        stats.Net.Stats.completion_ms qs.Query.Qcache.hits
-        qs.Query.Qcache.misses
-        (qs.Query.Qcache.invalidations + qs.Query.Qcache.stale_drops)
-        (match out with
-        | `Quiescent -> Printf.sprintf "quiescent in %d events" events
-        | `Budget_exhausted -> "BUDGET EXHAUSTED")
+        arm r.completed r.requests
+        (Run.quantile r.latencies 0.50)
+        (Run.quantile r.latencies 0.95)
+        r.stats.messages r.stats.bytes r.stats.completion_ms r.qcache.hits
+        r.qcache.misses
+        (r.qcache.invalidations + r.qcache.stale_drops)
+        (outcome_text r)
     in
-    let ov_off, out_off, events_off, stats_off, qs_off, digests_off, fp_off =
-      run_arm false
-    in
-    row "cache-off" ov_off out_off events_off stats_off qs_off;
-    let complete (ov : Workload.Scenarios.overlap) out =
-      out = `Quiescent
-      && !(ov.Workload.Scenarios.ov_completed)
-         = ov.Workload.Scenarios.ov_requests
-    in
+    let base = run_arm false in
+    Format.printf
+      "overlap: %d sources, %d subscribers x %d queries x %d rounds, %.0f%% \
+       pool overlap, seed %d@.@."
+      sources subscribers queries rounds (overlap_pct *. 100.0) seed;
+    row "cache-off" base;
     if off then begin
-      if not (complete ov_off out_off) then begin
+      if not (Run.ok base) then begin
         Format.eprintf "error: the baseline never completed@.";
         exit 1
       end
     end
     else begin
-      let ov_on, out_on, events_on, stats_on, qs_on, digests_on, fp_on =
-        run_arm true
+      let cached = run_arm true in
+      row "cache-on" cached;
+      let digests_agree = base.digests = cached.digests in
+      let sigma_agree =
+        String.equal base.content_fingerprint cached.content_fingerprint
       in
-      row "cache-on" ov_on out_on events_on stats_on qs_on;
-      let digests_agree = digests_off = digests_on in
-      let sigma_agree = String.equal fp_off fp_on in
       Format.printf
         "@.per-request digests %s across arms; \xCE\xA3 content %s (%s)@."
         (if digests_agree then "byte-identical" else "DIFFER")
         (if sigma_agree then "agrees" else "DIFFERS")
-        (String.sub fp_on 0 (min 12 (String.length fp_on)));
-      if stats_off.Net.Stats.bytes > 0 then
+        (short_fp cached.content_fingerprint);
+      if base.stats.bytes > 0 then
         Format.printf
           "cache-on: %.2fx bytes, %.2fx completion, hit rate %.0f%%@."
-          (float_of_int stats_on.Net.Stats.bytes
-          /. float_of_int stats_off.Net.Stats.bytes)
-          (stats_on.Net.Stats.completion_ms
-          /. Float.max 1.0 stats_off.Net.Stats.completion_ms)
+          (float_of_int cached.stats.bytes /. float_of_int base.stats.bytes)
+          (cached.stats.completion_ms /. Float.max 1.0 base.stats.completion_ms)
           (100.0
-          *. float_of_int qs_on.Query.Qcache.hits
-          /. Float.max 1.0
-               (float_of_int (qs_on.Query.Qcache.hits + qs_on.Query.Qcache.misses))
+          *. float_of_int cached.qcache.hits
+          /. Float.max 1.0 (float_of_int (cached.qcache.hits + cached.qcache.misses))
           );
       (* The SLO judges the cached arm: results must be byte-identical
          to the baseline and the cache must actually serve — a cache
          that is never hit is misconfigured, not conservative. *)
       (if slo then
-         if
-           (not digests_agree) || (not sigma_agree)
-           || qs_on.Query.Qcache.hits = 0
+         if (not digests_agree) || (not sigma_agree) || cached.qcache.hits = 0
          then begin
            Format.eprintf "SLO breach: %s%s%s@."
              (if digests_agree then "" else "result digests differ, ")
              (if sigma_agree then "" else "\xCE\xA3 mismatch, ")
-             (if qs_on.Query.Qcache.hits = 0 then "zero cache hits" else "")
-           |> ignore;
+             (if cached.qcache.hits = 0 then "zero cache hits" else "");
            exit 3
          end
          else Format.printf "SLO: no breaches@.");
       if
         (not digests_agree) || (not sigma_agree)
-        || not (complete ov_off out_off && complete ov_on out_on)
+        || not (Run.ok base && Run.ok cached)
       then begin
         Format.eprintf
           "error: arms disagree on results/\xCE\xA3 or never completed@.";
@@ -1254,127 +1093,71 @@ let cache_cmd =
           the per-request result digests and the final \xCE\xA3 content are \
           byte-identical across the arms")
     Term.(
-      const run $ sources $ subscribers $ queries $ rounds $ overlap $ seed
-      $ off $ slo_arg)
+      const run
+      $ int_arg "sources" 3 ~docv:"N" ~doc:"Catalog-owning source peers"
+      $ int_arg "subscribers" 12 ~docv:"N" ~doc:"Subscriber peers"
+      $ int_arg "queries" 3 ~docv:"Q"
+          ~doc:"Queries per subscriber slate (re-issued every round)"
+      $ int_arg "rounds" 3 ~docv:"R" ~doc:"Rounds"
+      $ overlap $ seed_arg 11 $ off $ slo_arg)
 
 (* --- top --------------------------------------------------------- *)
 
 let top_cmd =
-  let peers =
-    Arg.(
-      value & opt int 100
-      & info [ "peers" ] ~docv:"N" ~doc:"Total peer count (as in scale)")
-  in
-  let subscribers =
-    Arg.(
-      value & opt int 80
-      & info [ "subscribers" ] ~docv:"M" ~doc:"Subscriber count")
-  in
-  let requests =
-    Arg.(
-      value & opt int 4
-      & info [ "requests" ] ~docv:"R" ~doc:"Requests per subscriber")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Scenario seed") in
-  let reliable =
-    Arg.(
-      value & flag
-      & info [ "reliable" ] ~doc:"Use the Reliable transport (default: Raw)")
-  in
   let interval =
     Arg.(
       value & opt float 100.0
       & info [ "interval-ms" ] ~docv:"MS"
           ~doc:"Telemetry window width (virtual milliseconds)")
   in
-  let rows =
-    Arg.(
-      value & opt int 12
-      & info [ "top" ] ~docv:"N"
-          ~doc:"Table rows: the N peers with the highest transmit rate")
-  in
-  let sample =
-    Arg.(
-      value & opt int 64
-      & info [ "sample" ] ~docv:"K"
-          ~doc:
-            "Trace head sampling: keep one correlation id in K (whole \
-             cross-peer computations kept or dropped atomically); 0 \
-             disables tracing entirely")
-  in
   let json =
     Arg.(
       value & flag & info [ "json" ] ~doc:"Emit the table as a JSON object")
   in
-  let run peers subscribers requests seed reliable interval rows sample json =
-    let mirrors = peers - subscribers - 1 in
-    if mirrors < 1 then begin
-      prerr_endline
-        "error: --peers must exceed --subscribers by at least 2 (one \
-         publisher, one mirror)";
-      exit 1
-    end;
+  let run c interval rows sample json =
     (* Full observability stack: cumulative metrics, windowed series at
        the requested interval, and sampled tracing (viable at 10^3
-       peers precisely because sampled-out events allocate nothing). *)
+       peers precisely because sampled-out events allocate nothing).
+       Run.exec leaves it on, so the rings can be read back below. *)
+    let r =
+      exec_or_die
+        (crowd_spec c ~wire:Runtime.System.Xml
+           ~obs:
+             {
+               Run.metrics = true;
+               window_ms = Some interval;
+               keep_one_in = max 0 sample;
+             })
+    in
     let reg = Obs.Timeseries.default in
-    Obs.Metrics.set_enabled Obs.Metrics.default true;
-    Obs.Metrics.reset Obs.Metrics.default;
-    Obs.Timeseries.set_window reg interval;
-    Obs.Timeseries.set_enabled reg true;
-    Obs.Timeseries.reset reg;
-    if sample > 0 then begin
-      Obs.Trace.set_enabled true;
-      Obs.Trace.clear ();
-      Obs.Trace.set_sampling ~seed ~keep_one_in:sample ()
-    end
-    else Obs.Trace.set_enabled false;
-    let transport =
-      if reliable then Runtime.System.Reliable else Runtime.System.Raw
-    in
-    let fc =
-      Workload.Scenarios.flash_crowd ~mirrors ~subscribers
-        ~requests_per_subscriber:requests ~transport ~seed ()
-    in
-    let sys = fc.Workload.Scenarios.fc_system in
-    let budget = (8 * fc.Workload.Scenarios.fc_requests) + (40 * peers) + 10_000 in
-    Gc.set { (Gc.get ()) with Gc.minor_heap_size = 8 * 1024 * 1024 };
-    let outcome, events = Runtime.System.run ~max_events:budget sys in
-    let stats = Runtime.System.stats sys in
-    let rc = Runtime.System.reliability_counters sys in
     (* Read the rings back.  [now] is the virtual end of the run; rates
        cover the complete windows the ring still holds, quantiles merge
        every live window's histogram. *)
     let now = Obs.Timeseries.now reg in
     let windows = Obs.Timeseries.ring_size reg in
     let cur = Obs.Timeseries.epoch_of reg now in
-    let sum_rate key =
-      (* Bytes/sec analogue of [Timeseries.rate]: total of w_sum over
-         the complete windows preceding the current one. *)
-      let total = ref 0.0 in
-      for e = max 0 (cur - windows + 1) to cur - 1 do
-        match Obs.Timeseries.read_window reg key ~epoch:e with
-        | Some a -> total := !total +. a.Obs.Timeseries.w_sum
-        | None -> ()
+    let fold_windows key ~last f init =
+      let acc = ref init in
+      for e = max 0 (cur - windows + 1) to last do
+        Option.iter
+          (fun a -> acc := f !acc a)
+          (Obs.Timeseries.read_window reg key ~epoch:e)
       done;
-      !total /. (float_of_int (windows - 1) *. interval /. 1000.0)
+      !acc
+    in
+    (* Bytes/sec analogue of [Timeseries.rate]: total of w_sum over the
+       complete windows preceding the current one. *)
+    let sum_rate key =
+      fold_windows key ~last:(cur - 1) (fun t a -> t +. a.Obs.Timeseries.w_sum) 0.0
+      /. (float_of_int (windows - 1) *. interval /. 1000.0)
     in
     let peak key =
-      let best = ref 0.0 in
-      for e = max 0 (cur - windows + 1) to cur do
-        match Obs.Timeseries.read_window reg key ~epoch:e with
-        | Some a when a.Obs.Timeseries.w_count > 0 ->
-            if a.Obs.Timeseries.w_max > !best then best := a.Obs.Timeseries.w_max
-        | _ -> ()
-      done;
-      !best
+      fold_windows key ~last:cur
+        (fun best a ->
+          if a.Obs.Timeseries.w_count > 0 then Float.max best a.w_max else best)
+        0.0
     in
     let all_keys = Obs.Timeseries.keys reg in
-    let all_peers =
-      (fc.Workload.Scenarios.fc_publisher, "publisher")
-      :: List.map (fun m -> (m, "mirror")) fc.Workload.Scenarios.fc_mirrors
-      @ List.map (fun s -> (s, "subscriber")) fc.Workload.Scenarios.fc_subscribers
-    in
     let row (p, tier) =
       let name = Net.Peer_id.to_string p in
       let k suffix = "peer/" ^ name ^ "/" ^ suffix in
@@ -1407,7 +1190,7 @@ let top_cmd =
        counter "drops")
     in
     let ranked =
-      List.map row all_peers
+      List.map row r.roles
       |> List.sort (fun (n1, _, tx1, _, _, _, _, _, _) (n2, _, tx2, _, _, _, _, _, _) ->
              match compare tx2 tx1 with 0 -> compare n1 n2 | c -> c)
     in
@@ -1426,34 +1209,24 @@ let top_cmd =
           in
           hi -. lo
     in
+    let budget_exhausted = r.outcome = `Budget_exhausted in
     if json then begin
       let b = Buffer.create 4096 in
       let esc s = Obs.Exporter.json_escape s in
       Buffer.add_string b
         (Printf.sprintf
            "{\"schema_version\":2,\"peers\":%d,\"mirrors\":%d,\"subscribers\":%d,\
-            \"seed\":%d,\"transport\":\"%s\",\"window_ms\":%g,\"windows\":%d,"
-           peers mirrors subscribers seed
-           (if reliable then "reliable" else "raw")
-           interval windows);
-      Buffer.add_string b
-        (Printf.sprintf
-           "\"requests\":{\"issued\":%d,\"completed\":%d,\"unserved\":%d},"
-           fc.Workload.Scenarios.fc_requests
-           !(fc.Workload.Scenarios.fc_completed)
-           !(fc.Workload.Scenarios.fc_unserved));
-      Buffer.add_string b
-        (Printf.sprintf
-           "\"events\":%d,\"completion_ms\":%.3f,\"budget_exhausted\":%b,\
-            \"retransmits\":%d,\"abandoned\":%d,"
-           events stats.Net.Stats.completion_ms
-           (outcome = `Budget_exhausted)
-           rc.Runtime.System.retransmits rc.Runtime.System.abandoned);
-      Buffer.add_string b
-        (Printf.sprintf
-           "\"trace\":{\"keep_one_in\":%d,\"sampled_events\":%d,\
+            \"seed\":%d,\"transport\":\"%s\",\"window_ms\":%g,\"windows\":%d,\
+            \"requests\":{\"issued\":%d,\"completed\":%d,\"unserved\":%d},\
+            \"events\":%d,\"completion_ms\":%.3f,\"budget_exhausted\":%b,\
+            \"retransmits\":%d,\"abandoned\":%d,\
+            \"trace\":{\"keep_one_in\":%d,\"sampled_events\":%d,\
             \"sampled_span_ms\":%.3f},\"rows\":["
-           sample (List.length trace_events) sampled_span);
+           c.peers (c.peers - c.subscribers - 1) c.subscribers c.seed
+           (transport_name c) interval windows r.requests r.completed r.unserved
+           r.events r.stats.completion_ms budget_exhausted
+           r.reliability.retransmits r.reliability.abandoned sample
+           (List.length trace_events) sampled_span);
       List.iteri
         (fun i (name, tier, tx, kb, p95, p99, infl, retx, drops) ->
           if i > 0 then Buffer.add_char b ',';
@@ -1468,19 +1241,12 @@ let top_cmd =
       print_endline (Buffer.contents b)
     end
     else begin
-      Format.printf
-        "peers %d (1 publisher, %d mirrors, %d subscribers), seed %d, %s \
-         transport, %g ms windows@."
-        peers mirrors subscribers seed
-        (if reliable then "reliable" else "raw")
-        interval;
+      Format.printf "%s, %g ms windows@." (crowd_headline c) interval;
       Format.printf "requests  %d issued, %d completed, %d unserved@."
-        fc.Workload.Scenarios.fc_requests
-        !(fc.Workload.Scenarios.fc_completed)
-        !(fc.Workload.Scenarios.fc_unserved);
-      Format.printf "sim       %.0f ms, %d events%s@."
-        stats.Net.Stats.completion_ms events
-        (if outcome = `Budget_exhausted then " (budget exhausted)" else "");
+        r.requests r.completed r.unserved;
+      Format.printf "sim       %.0f ms, %d events%s@." r.stats.completion_ms
+        r.events
+        (if budget_exhausted then " (budget exhausted)" else "");
       if sample > 0 then
         Format.printf
           "trace     %d sampled event(s) at 1/%d, covering %.0f sim ms@."
@@ -1507,8 +1273,15 @@ let top_cmd =
           per-peer load table: transmit rates, latency quantiles, in-flight \
           windows, retransmits and drops")
     Term.(
-      const run $ peers $ subscribers $ requests $ seed $ reliable $ interval
-      $ rows $ sample $ json)
+      const run $ crowd_term $ interval
+      $ int_arg "top" 12 ~docv:"N"
+          ~doc:"Table rows: the N peers with the highest transmit rate"
+      $ int_arg "sample" 64 ~docv:"K"
+          ~doc:
+            "Trace head sampling: keep one correlation id in K (whole \
+             cross-peer computations kept or dropped atomically); 0 \
+             disables tracing entirely"
+      $ json)
 
 let () =
   Logs.set_reporter (Logs_fmt.reporter ());

@@ -114,4 +114,5 @@ module Workload = struct
   module Xmark = Axml_workload.Xmark
   module Query_gen = Axml_workload.Query_gen
   module Scenarios = Axml_workload.Scenarios
+  module Run = Axml_workload.Run
 end

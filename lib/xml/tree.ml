@@ -68,6 +68,7 @@ end)
 type memo = { mutable m_bytes : int; mutable m_shape : int }
 
 let memo_tbl = Memo.create 1024
+let reset_memo () = Memo.reset memo_tbl
 
 let memo_of t =
   match Memo.find_opt memo_tbl t with

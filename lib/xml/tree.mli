@@ -73,6 +73,14 @@ val shape_hash : t -> int
     hash equal; node identifiers are ignored.  Memoized like
     {!byte_size_cached}.  Never returns 0. *)
 
+val reset_memo : unit -> unit
+(** Empty the memo behind {!byte_size_cached} and {!shape_hash}; later
+    calls recompute.  Bindings of dead trees leave the table only when
+    it next resizes, so a process that builds system after system
+    carries their count (and the cost of cleaning them) into every
+    later run; a harness that measures allocation empties it before
+    building each system. *)
+
 (** {1 Traversal} *)
 
 val fold : ('a -> t -> 'a) -> 'a -> t -> 'a
