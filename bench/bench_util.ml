@@ -1,5 +1,5 @@
 (* Shared infrastructure for the experiment harness: plain-text table
-   rendering and standard system builders. *)
+   rendering, standard system builders and the hard-check gate. *)
 
 open Axml
 
@@ -63,6 +63,16 @@ let catalog_system ~items ~selectivity ?(payload_bytes = 64) ~seed () =
 
 let run_plan sys plan = Runtime.Exec.run_to_quiescence sys ~ctx:p1 plan
 
+(* The hard checks of every experiment: a failure prints a "!!" line
+   and makes bench/main.exe exit non-zero.  "~~" lines are advisory
+   wall-clock notes. *)
+let hard_failures = ref 0
+
+let gate ok msg =
+  if not ok then begin
+    incr hard_failures;
+    Printf.printf "  !! %s\n" msg
+  end
+
 let check_same label a b =
-  if not (Xml.Canonical.equal_forest a b) then
-    Printf.printf "  !! %s: result mismatch\n" label
+  gate (Xml.Canonical.equal_forest a b) (label ^ ": result mismatch")

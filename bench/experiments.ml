@@ -1,4 +1,4 @@
-(* The experiment tables E1-E10 (see DESIGN.md §4 and EXPERIMENTS.md).
+(* The experiment tables E1-E24 (see DESIGN.md §4 and EXPERIMENTS.md).
    The paper publishes no numeric tables, so each experiment
    regenerates the *claim* behind a rule of Section 3.3 with measured
    simulator statistics: who wins, by what factor, and where the
@@ -114,7 +114,7 @@ let e2 () =
           | Some d -> Doc.Equivalence.fingerprint (Doc.Document.root d)
           | None -> "missing"
         in
-        if doc_fp sys_l <> doc_fp sys_d then Printf.printf "  !! E2 mismatch\n";
+        gate (doc_fp sys_l = doc_fp sys_d) "E2 mismatch";
         [
           Printf.sprintf "%.0f%%" (sel *. 100.0);
           fmt_bytes out_l.stats.bytes;
@@ -564,8 +564,7 @@ let e9 () =
             full := Query.Eval.eval ~gen:g q [ !seen ])
           stream;
         let t_re = Sys.time () -. t0 in
-        if not (Xml.Canonical.equal_forest deltas !full) then
-          Printf.printf "  !! E9 mismatch\n";
+        gate (Xml.Canonical.equal_forest deltas !full) "E9 mismatch";
         [
           string_of_int n;
           Printf.sprintf "%.1f" (t_inc *. 1000.0);
@@ -692,8 +691,7 @@ let e11 () =
           Axml_peer.Lazy_eval.eval_over_document (build sections) ~ctx:p1
             ~mode:Axml_peer.Lazy_eval.Lazy ~query:q ~doc:"portal"
         in
-        if not (Xml.Canonical.equal_forest eager.results lazy_.results) then
-          Printf.printf "  !! E11 mismatch\n";
+        gate (Xml.Canonical.equal_forest eager.results lazy_.results) "E11 mismatch";
         [
           string_of_int sections;
           Printf.sprintf "%d/%d" eager.activated sections;
@@ -801,7 +799,7 @@ let e13 () =
         in
         let n1, t1, ms1 = measure q in
         let n2, t2, ms2 = measure optimized in
-        if n1 <> n2 then Printf.printf "  !! E13 result mismatch\n";
+        gate (n1 = n2) "E13 result mismatch";
         [
           string_of_int items;
           string_of_int t1;
@@ -1118,9 +1116,10 @@ let e16 () =
       int_of_float
         (Obs.Metrics.total Obs.Metrics.default ~subsystem:"net" "bytes_sent")
     in
-    if metric_bytes <> out.Runtime.Exec.stats.bytes then
-      Printf.printf "  !! E16 %s: metrics %dB vs stats %dB\n" label metric_bytes
-        out.Runtime.Exec.stats.bytes;
+    gate
+      (metric_bytes = out.Runtime.Exec.stats.bytes)
+      (Printf.sprintf "E16 %s: metrics %dB vs stats %dB" label metric_bytes
+         out.Runtime.Exec.stats.bytes);
     (rows, events, out)
   in
   let rows_n, _, _ = traced_run "naive" ~planned:false in
@@ -1183,9 +1182,9 @@ let e16 () =
       [ "enabled"; Printf.sprintf "%.1f" enabled ];
       [ "disabled (after)"; Printf.sprintf "%.1f" disabled_b ];
     ];
-  if disabled_a <> disabled_b then
-    Printf.printf "  !! E16: disabled-path allocation changed (%.1f vs %.1f)\n"
-      disabled_a disabled_b;
+  gate (disabled_a = disabled_b)
+    (Printf.sprintf "E16: disabled-path allocation changed (%.1f vs %.1f)"
+       disabled_a disabled_b);
   Printf.printf
     "\nshape: the per-peer table decomposes E1's byte totals — the catalog\n\
      transfer is all of p2's bytes under naive and vanishes under the\n\
@@ -1193,61 +1192,10 @@ let e16 () =
      (the two disabled rows agree), enabled tracing pays ~a span record\n\
      per transfer\n"
 
-(* --- E17: indexed document stores vs naive evaluation ------------ *)
+(* --- Artifacts: JSON, result columns, BENCH_*.json ------------------ *)
 
-(* Wall-clock milliseconds of the best of [n] runs (first-run noise —
-   allocation, lazy compilation — must not be charged to either
-   engine). *)
-let best_ms ?(n = 3) f =
-  let best = ref infinity in
-  let res = ref None in
-  for _ = 1 to n do
-    let t0 = Sys.time () in
-    let r = f () in
-    let ms = (Sys.time () -. t0) *. 1000.0 in
-    if ms < !best then best := ms;
-    res := Some r
-  done;
-  (!best, Option.get !res)
-
-(* A catalog whose descendant-step selectivity is controlled twice
-   over: a [sel] fraction of items carries the "wanted" category
-   attribute (candidate-bound selection: the predicate is checked per
-   item by both engines), and the same fraction carries a <promo>
-   child element (label-bound selection: the index answers //promo
-   from postings while the interpreter walks the whole document). *)
-let promo_catalog ~gen ~rng ~items ~sel =
-  let open Xml in
-  let item i =
-    let matches = Workload.Rng.float rng 1.0 < sel in
-    let category = if matches then "wanted" else "misc" in
-    let promo =
-      if matches then
-        [
-          Tree.element ~gen (Label.of_string "promo")
-            [ Tree.text (Printf.sprintf "deal-%d" i) ];
-        ]
-      else []
-    in
-    Tree.element ~gen (Label.of_string "item")
-      ~attrs:[ ("id", string_of_int i); ("category", category) ]
-      (promo
-      @ [
-          Tree.element ~gen (Label.of_string "name")
-            [ Tree.text (Printf.sprintf "item-%d" i) ];
-          Tree.element ~gen (Label.of_string "price")
-            [ Tree.text (string_of_int (1 + Workload.Rng.int rng 1000)) ];
-          Tree.element ~gen (Label.of_string "payload")
-            [ Tree.text (String.make 64 'x') ];
-        ])
-  in
-  Tree.element ~gen (Label.of_string "catalog") (List.init items item)
-
-let rare_label_query =
-  lazy (Query.Parser.parse_exn "query(1) for $p in $0//promo return <hit>{$p}</hit>")
-
-(* Minimal JSON rendering — every number this experiment emits is
-   finite by construction (ratios divide by a clamped denominator). *)
+(* Minimal JSON rendering — every number an experiment emits is finite
+   by construction (ratios divide by a clamped denominator). *)
 let json_f x = Printf.sprintf "%.6g" x
 let json_b b = if b then "true" else "false"
 let json_s s = "\"" ^ Obs.Exporter.json_escape s ^ "\""
@@ -1417,6 +1365,154 @@ let write_summary () =
         (List.map (fun (k, v) -> json_s k ^ ": " ^ v) merged)
     ^ "}}")
 
+(* A result column over rows of type ['r]: its table header ("" =
+   artifact only), its artifact key ("" = table only), and the two
+   renderings.  One column list both prints an experiment's table and
+   writes its artifact rows, so every artifact reads a key the same
+   way. *)
+type 'r col = {
+  head : string;
+  key : string;
+  text : 'r -> string;
+  json : 'r -> string;
+}
+
+let int_col head key f =
+  let s r = string_of_int (f r) in
+  { head; key; text = s; json = s }
+
+let float_col head key fmt f =
+  {
+    head;
+    key;
+    text = (fun r -> Printf.sprintf fmt (f r));
+    json = (fun r -> json_f (f r));
+  }
+
+let bool_col head key f =
+  {
+    head;
+    key;
+    text = (fun r -> if f r then "yes" else "NO");
+    json = (fun r -> json_b (f r));
+  }
+
+let quiet c = { c with head = "" }
+
+(* Print labelled rows as a table ([label] heads the label column; none
+   for unlabelled rows) and return them as artifact rows, each prefixed
+   by [tag]. *)
+let run_rows ?label ?(tag = []) cols rows =
+  let shown = List.filter (fun c -> c.head <> "") cols in
+  let stored = List.filter (fun c -> c.key <> "") cols in
+  let lab l = Option.fold ~none:[] ~some:(fun _ -> [ l ]) label in
+  table
+    ~headers:(lab (Option.value label ~default:"") @ List.map (fun c -> c.head) shown)
+    (List.map (fun (l, r) -> lab l @ List.map (fun c -> c.text r) shown) rows);
+  List.map
+    (fun (l, r) ->
+      json_obj
+        (tag
+        @ Option.fold ~none:[] ~some:(fun k -> [ (k, json_s l) ]) label
+        @ List.map (fun c -> (c.key, c.json r)) stored))
+    rows
+
+(* Each (artifact key, holds, message): gate it, return the artifact
+   fields. *)
+let gates checks =
+  List.map
+    (fun (key, ok, msg) ->
+      gate ok msg;
+      (key, json_b ok))
+    checks
+
+let finish id ~smoke fields shape =
+  let file = "BENCH_" ^ id ^ ".json" in
+  write_json file
+    (json_obj (("experiment", json_s id) :: ("smoke", json_b smoke) :: fields));
+  write_summary ();
+  Printf.printf "\nwrote %s and BENCH_summary.json\nshape: %s\n" file shape
+
+(* --- E17: indexed document stores vs naive evaluation ------------ *)
+
+(* Wall-clock milliseconds of the best of [n] runs (first-run noise —
+   allocation, lazy compilation — must not be charged to either
+   engine). *)
+let best_ms ?(n = 3) f =
+  let best = ref infinity in
+  let res = ref None in
+  for _ = 1 to n do
+    let t0 = Sys.time () in
+    let r = f () in
+    let ms = (Sys.time () -. t0) *. 1000.0 in
+    if ms < !best then best := ms;
+    res := Some r
+  done;
+  (!best, Option.get !res)
+
+(* A catalog whose descendant-step selectivity is controlled twice
+   over: a [sel] fraction of items carries the "wanted" category
+   attribute (candidate-bound selection: the predicate is checked per
+   item by both engines), and the same fraction carries a <promo>
+   child element (label-bound selection: the index answers //promo
+   from postings while the interpreter walks the whole document). *)
+let promo_catalog ~gen ~rng ~items ~sel =
+  let open Xml in
+  let item i =
+    let matches = Workload.Rng.float rng 1.0 < sel in
+    let category = if matches then "wanted" else "misc" in
+    let promo =
+      if matches then
+        [
+          Tree.element ~gen (Label.of_string "promo")
+            [ Tree.text (Printf.sprintf "deal-%d" i) ];
+        ]
+      else []
+    in
+    Tree.element ~gen (Label.of_string "item")
+      ~attrs:[ ("id", string_of_int i); ("category", category) ]
+      (promo
+      @ [
+          Tree.element ~gen (Label.of_string "name")
+            [ Tree.text (Printf.sprintf "item-%d" i) ];
+          Tree.element ~gen (Label.of_string "price")
+            [ Tree.text (string_of_int (1 + Workload.Rng.int rng 1000)) ];
+          Tree.element ~gen (Label.of_string "payload")
+            [ Tree.text (String.make 64 'x') ];
+        ])
+  in
+  Tree.element ~gen (Label.of_string "catalog") (List.init items item)
+
+let rare_label_query =
+  lazy (Query.Parser.parse_exn "query(1) for $p in $0//promo return <hit>{$p}</hit>")
+
+(* Part A row: one query over one document, naive vs indexed
+   evaluation (wall ms, best of 3). *)
+type lookup = {
+  items : int;
+  nodes : int;
+  sel : float;
+  build_ms : float;
+  naive_ms : float;
+  indexed_ms : float;
+  identical : bool;
+}
+
+(* Part B row: streaming appends into a document that started at
+   [start_items] items, per-append costs. *)
+type upkeep = {
+  start_items : int;
+  start_nodes : int;
+  insert_ms : float;
+  maintain_ms : float;
+  rebuild_ms : float;
+  segments : int;
+  agrees : bool;  (* indexed = naive answer after the last append *)
+}
+
+(* Part C row: planner output-size estimates vs the actual output. *)
+type estimate = { sel : float; actual : int; before : int; after : int }
+
 let e17 ?(smoke = false) () =
   section
     (if smoke then "E17  indexed store vs naive evaluation (smoke)"
@@ -1433,7 +1529,12 @@ let e17 ?(smoke = false) () =
   Obs.Metrics.reset Obs.Metrics.default;
   let item_sizes = if smoke then [ 14; 143 ] else [ 14; 143; 1_430; 14_300 ] in
   let sels = [ 0.01; 0.1; 0.5 ] in
-  let all_identical = ref true in
+  let queries =
+    [
+      ("rare-label", Lazy.force rare_label_query);
+      ("attr-sel", Workload.Xml_gen.selection_query ());
+    ]
+  in
   let eval_gen () = Xml.Node_id.Gen.create ~namespace:"e17out" in
   let sweep =
     List.concat_map
@@ -1460,34 +1561,30 @@ let e17 ?(smoke = false) () =
                   Xml.Serializer.forest_to_string out_n
                   = Xml.Serializer.forest_to_string out_i
                 in
-                if not identical then begin
-                  all_identical := false;
-                  Printf.printf "  !! E17 %s items=%d sel=%.2f: outputs differ\n"
-                    qname items sel
-                end;
-                let speedup = naive_ms /. max indexed_ms 1e-4 in
-                (qname, items, nodes, sel, build_ms, naive_ms, indexed_ms,
-                 speedup, identical))
-              [
-                ("rare-label", Lazy.force rare_label_query);
-                ("attr-sel", Workload.Xml_gen.selection_query ());
-              ])
+                gate identical
+                  (Printf.sprintf "E17 %s items=%d sel=%.2f: outputs differ" qname
+                     items sel);
+                ( qname,
+                  { items; nodes; sel; build_ms; naive_ms; indexed_ms; identical } ))
+              queries)
           sels)
       item_sizes
   in
-  table
-    ~headers:
-      [ "query"; "items"; "nodes"; "sel"; "build ms"; "naive ms"; "indexed ms";
-        "speedup" ]
-    (List.map
-       (fun (qn, items, nodes, sel, b, n, i, s, _) ->
-         [
-           qn; string_of_int items; string_of_int nodes;
-           Printf.sprintf "%.2f" sel; Printf.sprintf "%.2f" b;
-           Printf.sprintf "%.3f" n; Printf.sprintf "%.4f" i;
-           fmt_ratio s;
-         ])
-       sweep);
+  let speedup r = r.naive_ms /. max r.indexed_ms 1e-4 in
+  let sweep_rows =
+    run_rows ~label:"query"
+      [
+        int_col "items" "items" (fun r -> r.items);
+        int_col "nodes" "nodes" (fun r -> r.nodes);
+        float_col "sel" "selectivity" "%.2f" (fun (r : lookup) -> r.sel);
+        float_col "build ms" "build_ms" "%.2f" (fun r -> r.build_ms);
+        float_col "naive ms" "naive_ms" "%.3f" (fun r -> r.naive_ms);
+        float_col "indexed ms" "indexed_ms" "%.4f" (fun r -> r.indexed_ms);
+        float_col "speedup" "speedup" "%.1fx" speedup;
+        bool_col "" "identical" (fun r -> r.identical);
+      ]
+      sweep
+  in
   let hits =
     int_of_float (Obs.Metrics.total Obs.Metrics.default ~subsystem:"query" "index_hits")
   in
@@ -1513,7 +1610,7 @@ let e17 ?(smoke = false) () =
         let rng = Workload.Rng.create ~seed:18 in
         let g = Xml.Node_id.Gen.create ~namespace:"e17b" in
         let doc = ref (promo_catalog ~gen:g ~rng ~items ~sel:0.1) in
-        let nodes0 = Xml.Tree.size !doc in
+        let start_nodes = Xml.Tree.size !doc in
         let targets =
           let rec collect acc t =
             match t with
@@ -1545,7 +1642,7 @@ let e17 ?(smoke = false) () =
           let t0 = Sys.time () in
           let ok = Xml.Index.append ix ~new_root:t' ~under forest in
           maintain_ms := !maintain_ms +. ((Sys.time () -. t0) *. 1000.0);
-          if not ok then Printf.printf "  !! E17 append rejected (round %d)\n" i;
+          gate ok (Printf.sprintf "E17 append rejected (round %d)" i);
           (* Sample the from-scratch alternative sparsely: at 1e5 nodes
              a full rebuild costs ~100ms and would dominate the run. *)
           if i mod 10 = 1 then begin
@@ -1557,37 +1654,45 @@ let e17 ?(smoke = false) () =
           doc := t'
         done;
         let per x = x /. float_of_int append_rounds in
-        let rebuild_per = !rebuild_ms /. float_of_int (max 1 !rebuild_samples) in
         let q = Workload.Xml_gen.selection_query () in
         let out_i =
           Query.Compile.eval_over ~gen:(eval_gen ()) q [ ([ !doc ], Some ix) ]
         in
         let out_n = Query.Eval.eval ~gen:(eval_gen ()) q [ [ !doc ] ] in
-        let identical =
+        let agrees =
           Xml.Serializer.forest_to_string out_i
           = Xml.Serializer.forest_to_string out_n
         in
-        if not identical then begin
-          all_identical := false;
-          Printf.printf "  !! E17 post-append results differ (%d items)\n" items
-        end;
-        (items, nodes0, per !insert_ms, per !maintain_ms, rebuild_per,
-         rebuild_per /. max (per !maintain_ms) 1e-4,
-         Xml.Index.segment_count ix, identical))
+        gate agrees (Printf.sprintf "E17 post-append results differ (%d items)" items);
+        ( "",
+          {
+            start_items = items;
+            start_nodes;
+            insert_ms = per !insert_ms;
+            maintain_ms = per !maintain_ms;
+            rebuild_ms = !rebuild_ms /. float_of_int (max 1 !rebuild_samples);
+            segments = Xml.Index.segment_count ix;
+            agrees;
+          } ))
       maint_sizes
   in
-  table
-    ~headers:
-      [ "items"; "nodes"; "insert ms"; "maintain ms"; "rebuild ms"; "ratio";
-        "segments" ]
-    (List.map
-       (fun (items, nodes, ins, m, r, ratio, segs, _) ->
-         [
-           string_of_int items; string_of_int nodes; Printf.sprintf "%.4f" ins;
-           Printf.sprintf "%.4f" m; Printf.sprintf "%.3f" r; fmt_ratio ratio;
-           string_of_int segs;
-         ])
-       maintenance);
+  let ratio u = u.rebuild_ms /. max u.maintain_ms 1e-4 in
+  let maint_rows =
+    run_rows
+      [
+        int_col "items" "items" (fun u -> u.start_items);
+        int_col "nodes" "nodes" (fun u -> u.start_nodes);
+        int_col "" "appends" (fun _ -> append_rounds);
+        float_col "insert ms" "insert_ms_per_append" "%.4f" (fun u -> u.insert_ms);
+        float_col "maintain ms" "maintain_ms_per_append" "%.4f" (fun u ->
+            u.maintain_ms);
+        float_col "rebuild ms" "rebuild_ms_per_append" "%.3f" (fun u -> u.rebuild_ms);
+        float_col "ratio" "ratio" "%.1fx" ratio;
+        int_col "segments" "segments" (fun u -> u.segments);
+        bool_col "" "identical" (fun u -> u.agrees);
+      ]
+      maintenance
+  in
   Printf.printf
     "\npart C — planner output estimates for query(doc) with and without\n\
      store statistics: \"before\" is the flat input/5 heuristic, \"after\"\n\
@@ -1595,7 +1700,7 @@ let e17 ?(smoke = false) () =
      (Selectivity.sketch).  err = |estimate - actual| / actual.\n\n";
   let items_c = if smoke then 143 else 1_430 in
   let topo = Net.Topology.full_mesh ~link:default_link [ p1; p2 ] in
-  let cost_rows =
+  let estimates =
     List.concat_map
       (fun sel ->
         let rng = Workload.Rng.create ~seed:19 in
@@ -1624,127 +1729,73 @@ let e17 ?(smoke = false) () =
               Xml.Forest.byte_size
                 (Query.Compile.eval ~gen:(eval_gen ()) q [ [ doc ] ])
             in
-            let err est =
-              Float.abs (float_of_int (est - actual)) /. float_of_int (max 1 actual)
-            in
-            (qname, sel, actual, est env_before, est env_after,
-             err (est env_before), err (est env_after)))
-          [
-            ("rare-label", Lazy.force rare_label_query);
-            ("attr-sel", Workload.Xml_gen.selection_query ());
-          ])
+            (qname, { sel; actual; before = est env_before; after = est env_after }))
+          queries)
       sels
   in
-  table
-    ~headers:
-      [ "query"; "sel"; "actual B"; "est before"; "est after"; "err before";
-        "err after" ]
-    (List.map
-       (fun (qn, sel, actual, eb, ea, errb, erra) ->
-         [
-           qn; Printf.sprintf "%.2f" sel; string_of_int actual;
-           string_of_int eb; string_of_int ea; Printf.sprintf "%.1fx" errb;
-           Printf.sprintf "%.1fx" erra;
-         ])
-       cost_rows);
-  (* --- machine-readable artifacts -------------------------------- *)
-  let sweep_json =
-    json_arr
-      (List.map
-         (fun (qn, items, nodes, sel, b, n, i, s, ident) ->
-           json_obj
-             [
-               ("query", json_s qn); ("items", string_of_int items);
-               ("nodes", string_of_int nodes); ("selectivity", json_f sel);
-               ("build_ms", json_f b); ("naive_ms", json_f n);
-               ("indexed_ms", json_f i); ("speedup", json_f s);
-               ("identical", json_b ident);
-             ])
-         sweep)
+  let err e est =
+    Float.abs (float_of_int (est - e.actual)) /. float_of_int (max 1 e.actual)
   in
-  let maint_json =
-    json_arr
-      (List.map
-         (fun (items, nodes, ins, m, r, ratio, segs, ident) ->
-           json_obj
-             [
-               ("items", string_of_int items); ("nodes", string_of_int nodes);
-               ("appends", string_of_int append_rounds);
-               ("insert_ms_per_append", json_f ins);
-               ("maintain_ms_per_append", json_f m);
-               ("rebuild_ms_per_append", json_f r); ("ratio", json_f ratio);
-               ("segments", string_of_int segs); ("identical", json_b ident);
-             ])
-         maintenance)
+  let err_before e = err e e.before and err_after e = err e e.after in
+  let cost_rows =
+    run_rows ~label:"query"
+      [
+        float_col "sel" "selectivity" "%.2f" (fun (e : estimate) -> e.sel);
+        int_col "actual B" "actual_bytes" (fun e -> e.actual);
+        int_col "est before" "est_before" (fun e -> e.before);
+        int_col "est after" "est_after" (fun e -> e.after);
+        float_col "err before" "err_before" "%.1fx" err_before;
+        float_col "err after" "err_after" "%.1fx" err_after;
+      ]
+      estimates
   in
-  let cost_json =
-    json_arr
-      (List.map
-         (fun (qn, sel, actual, eb, ea, errb, erra) ->
-           json_obj
-             [
-               ("query", json_s qn); ("selectivity", json_f sel);
-               ("actual_bytes", string_of_int actual);
-               ("est_before", string_of_int eb); ("est_after", string_of_int ea);
-               ("err_before", json_f errb); ("err_after", json_f erra);
-             ])
-         cost_rows)
+  let top zero f rows = List.fold_left (fun acc (_, r) -> max acc (f r)) zero rows in
+  let max_items = top 0 (fun r -> r.items) sweep in
+  let mean f =
+    List.fold_left (fun acc (_, e) -> acc +. f e) 0.0 estimates
+    /. float_of_int (max 1 (List.length estimates))
   in
-  let max_nodes =
-    List.fold_left (fun acc (_, _, n, _, _, _, _, _, _) -> max acc n) 0 sweep
-  in
-  let max_items =
-    List.fold_left (fun acc (_, i, _, _, _, _, _, _, _) -> max acc i) 0 sweep
-  in
-  let speedup_at_max =
-    List.fold_left
-      (fun acc (qn, i, _, _, _, _, _, s, _) ->
-        if qn = "rare-label" && i = max_items then max acc s else acc)
-      0.0 sweep
-  in
-  let max_speedup =
-    List.fold_left (fun acc (_, _, _, _, _, _, _, s, _) -> max acc s) 0.0 sweep
-  in
-  let ratio_max =
-    List.fold_left (fun acc (_, _, _, _, _, r, _, _) -> max acc r) 0.0 maintenance
-  in
-  let mean f rows =
-    List.fold_left (fun acc r -> acc +. f r) 0.0 rows
-    /. float_of_int (max 1 (List.length rows))
-  in
-  write_json "BENCH_E17.json"
-    (json_obj
-       [
-         ("experiment", json_s "E17"); ("smoke", json_b smoke);
-         ("sweep", sweep_json); ("maintenance", maint_json);
-         ("cost_estimate", cost_json);
-         ( "summary",
-           json_obj
-             [
-               ("max_nodes", string_of_int max_nodes);
-               ("max_speedup", json_f max_speedup);
-               ("speedup_rare_label_at_max_size", json_f speedup_at_max);
-               ("all_outputs_identical", json_b !all_identical);
-               ("maintain_vs_rebuild_ratio_max", json_f ratio_max);
-               ("mean_cost_err_before",
-                json_f (mean (fun (_, _, _, _, _, e, _) -> e) cost_rows));
-               ("mean_cost_err_after",
-                json_f (mean (fun (_, _, _, _, _, _, e) -> e) cost_rows));
-               ("index_hits", string_of_int hits);
-               ("fallbacks", string_of_int fallbacks);
-             ] );
-       ]);
-  write_summary ();
-  Printf.printf
-    "\nwrote BENCH_E17.json and BENCH_summary.json\n\
-     shape: the index pays off exactly where traversal dominated — the\n\
+  finish "E17" ~smoke
+    [
+      ("sweep", json_arr sweep_rows);
+      ("maintenance", json_arr maint_rows);
+      ("cost_estimate", json_arr cost_rows);
+      ( "summary",
+        json_obj
+          [
+            ("max_nodes", string_of_int (top 0 (fun r -> r.nodes) sweep));
+            ("max_speedup", json_f (top 0.0 speedup sweep));
+            ( "speedup_rare_label_at_max_size",
+              json_f
+                (top 0.0 speedup
+                   (List.filter
+                      (fun (qn, r) -> qn = "rare-label" && r.items = max_items)
+                      sweep)) );
+            ( "all_outputs_identical",
+              json_b
+                (List.for_all (fun (_, r) -> r.identical) sweep
+                && List.for_all (fun (_, u) -> u.agrees) maintenance) );
+            ( "maintain_vs_rebuild_ratio_max",
+              json_f (top 0.0 ratio maintenance) );
+            ("mean_cost_err_before", json_f (mean err_before));
+            ("mean_cost_err_after", json_f (mean err_after));
+            ("index_hits", string_of_int hits);
+            ("fallbacks", string_of_int fallbacks);
+          ] );
+    ]
+    "the index pays off exactly where traversal dominated — the\n\
      rare-label speedup grows with document size and scarcity while the\n\
      candidate-bound query is flat; per-append maintenance stays roughly\n\
      constant as rebuild cost grows with the document; statistics shrink\n\
      the planner's output-size error by an order of magnitude on the\n\
-     label-bound query\n"
+     label-bound query"
 
 (* --- E18: reliable delivery overhead under injected faults ------- *)
+
+(* The two-site join of E18 and E19: every pair of wanted items. *)
+let wanted_pairs =
+  Query.Parser.parse_exn
+    {|query(2) for $x in $0//item, $y in $1//item where attr($x, "category") = "wanted" and attr($y, "category") = "wanted" return <pair>{attr($x, "id")}{attr($y, "id")}</pair>|}
 
 (* A chatty two-site join under a seeded lossy network (DESIGN.md §12):
    the Reliable transport must keep producing the fault-free answer at
@@ -1752,6 +1803,17 @@ let e17 ?(smoke = false) () =
    bytes (retransmissions) and extra virtual time (retry backoff)
    relative to the drop-free run.  A Raw ablation column counts how
    often plain datagrams lose the answer under the same fault plans. *)
+
+(* One fault seed at one drop rate: the reliable run's cumulative
+   stats, virtual time and transport counters, and whether each
+   transport reproduced the fault-free answer. *)
+type trial = {
+  stats : Net.Stats.snapshot;
+  virtual_ms : float;
+  rc : System.reliability_counters;
+  reliable_ok : bool;
+  raw_ok : bool;
+}
 
 let e18 ?(smoke = false) () =
   section
@@ -1761,18 +1823,13 @@ let e18 ?(smoke = false) () =
     "workload: repeated two-site joins at p1 over catalogs stored at p2\n\
      and p3; per-link drop probability swept, faults quiet after 30s\n\
      virtual (eventual connectivity), several fault seeds per rate\n\n";
-  let p1 = Net.Peer_id.of_string "p1" in
-  let p2 = Net.Peer_id.of_string "p2" in
-  let p3 = Net.Peer_id.of_string "p3" in
   let items = if smoke then 20 else 40 in
   let build transport =
     (* rto sized above the ~90ms ack round-trip of a catalog transfer,
        so the drop-free baseline has zero spurious retransmissions. *)
     let sys =
       System.create ~transport ~rto_ms:150.0
-        (Net.Topology.full_mesh
-           ~link:(Net.Link.make ~latency_ms:10.0 ~bandwidth_bytes_per_ms:100.0)
-           [ p1; p2; p3 ])
+        (Net.Topology.full_mesh ~link:default_link [ p1; p2; p3 ])
     in
     List.iteri
       (fun i p ->
@@ -1783,12 +1840,8 @@ let e18 ?(smoke = false) () =
       [ p2; p3 ];
     sys
   in
-  let join =
-    Query.Parser.parse_exn
-      {|query(2) for $x in $0//item, $y in $1//item where attr($x, "category") = "wanted" and attr($y, "category") = "wanted" return <pair>{attr($x, "id")}{attr($y, "id")}</pair>|}
-  in
   let plan =
-    Expr.query_at join ~at:p1
+    Expr.query_at wanted_pairs ~at:p1
       ~args:[ Expr.doc "cat" ~at:"p2"; Expr.doc "cat" ~at:"p3" ]
   in
   (* Several rounds of the join over one faulty system: more messages
@@ -1830,86 +1883,77 @@ let e18 ?(smoke = false) () =
   let rows =
     List.map
       (fun drop ->
-        let n = List.length seeds in
-        let bytes = ref 0 and ms = ref 0.0 and rt = ref 0 and drops = ref 0 in
-        let dup = ref 0 and correct = ref 0 and raw_lost = ref 0 in
-        List.iter
-          (fun seed ->
-            let outs, elapsed, fp, rc = run System.Reliable (fault ~drop ~seed) in
-            let stats = cumulative outs in
-            bytes := !bytes + stats.bytes;
-            ms := !ms +. elapsed;
-            rt := !rt + rc.System.retransmits;
-            drops := !drops + stats.drops;
-            dup := !dup + rc.System.dup_suppressed;
-            if agrees outs fp then incr correct;
-            let outs_r, _, fp_r, _ = run System.Raw (fault ~drop ~seed) in
-            if not (agrees outs_r fp_r) then incr raw_lost)
-          seeds;
-        let avg_bytes = float_of_int !bytes /. float_of_int n in
-        let avg_ms = !ms /. float_of_int n in
-        ( drop, n,
-          avg_bytes, avg_bytes /. float_of_int (max base_bytes 1),
-          avg_ms, avg_ms /. max base_ms 1e-6,
-          float_of_int !rt /. float_of_int n,
-          float_of_int !drops /. float_of_int n,
-          float_of_int !dup /. float_of_int n,
-          !correct, !raw_lost ))
+        ( "",
+          ( drop,
+            List.map
+              (fun seed ->
+                let fault = fault ~drop ~seed in
+                let outs, virtual_ms, fp, rc = run System.Reliable fault in
+                let outs_r, _, fp_r, _ = run System.Raw fault in
+                {
+                  stats = cumulative outs;
+                  virtual_ms;
+                  rc;
+                  reliable_ok = agrees outs fp;
+                  raw_ok = agrees outs_r fp_r;
+                })
+              seeds ) ))
       rates
   in
-  table
-    ~headers:
-      [ "drop"; "bytes"; "byte ovh"; "virt ms"; "time ovh"; "retx"; "drops";
-        "dup supp"; "reliable ok"; "raw lost" ]
-    (List.map
-       (fun (d, n, b, bo, m, mo, rt, dr, du, ok, lost) ->
-         [
-           Printf.sprintf "%.2f" d; Printf.sprintf "%.0f" b;
-           Printf.sprintf "%.2fx" bo; Printf.sprintf "%.1f" m;
-           Printf.sprintf "%.2fx" mo; Printf.sprintf "%.1f" rt;
-           Printf.sprintf "%.1f" dr; Printf.sprintf "%.1f" du;
-           Printf.sprintf "%d/%d" ok n; Printf.sprintf "%d/%d" lost n;
-         ])
-       rows);
-  let all_reliable_correct =
-    List.for_all (fun (_, n, _, _, _, _, _, _, _, ok, _) -> ok = n) rows
+  (* Columns over (drop rate, its trials): means per trial, and counts
+     out of the trials. *)
+  let avg f (_, ts) =
+    List.fold_left (fun acc t -> acc +. f t) 0.0 ts /. float_of_int (List.length ts)
   in
-  let raw_lost_total =
-    List.fold_left (fun acc (_, _, _, _, _, _, _, _, _, _, l) -> acc + l) 0 rows
+  let bytes_avg = avg (fun t -> float_of_int t.stats.bytes) in
+  let ms_avg = avg (fun t -> t.virtual_ms) in
+  let count f (_, ts) = List.length (List.filter f ts) in
+  let out_of head key f =
+    {
+      (int_col head key (count f)) with
+      text = (fun r -> Printf.sprintf "%d/%d" (count f r) (List.length (snd r)));
+    }
   in
-  if not all_reliable_correct then
-    Printf.printf "  !! E18 a reliable run diverged from the fault-free answer\n";
-  write_json "BENCH_E18.json"
-    (json_obj
-       [
-         ("experiment", json_s "E18"); ("smoke", json_b smoke);
-         ("base_bytes", string_of_int base_bytes);
-         ("base_virtual_ms", json_f base_ms);
-         ("all_reliable_correct", json_b all_reliable_correct);
-         ("raw_lost_runs", string_of_int raw_lost_total);
-         ( "rows",
-           json_arr
-             (List.map
-                (fun (d, n, b, bo, m, mo, rt, dr, du, ok, lost) ->
-                  json_obj
-                    [
-                      ("drop", json_f d); ("runs", string_of_int n);
-                      ("bytes_avg", json_f b); ("byte_overhead", json_f bo);
-                      ("virtual_ms_avg", json_f m); ("time_overhead", json_f mo);
-                      ("retransmits_avg", json_f rt); ("drops_avg", json_f dr);
-                      ("dup_suppressed_avg", json_f du);
-                      ("reliable_correct", string_of_int ok);
-                      ("raw_lost", string_of_int lost);
-                    ])
-                rows) );
-       ]);
-  write_summary ();
-  Printf.printf
-    "\nwrote BENCH_E18.json and BENCH_summary.json\n\
-     shape: byte and time overheads grow with the drop rate while the\n\
+  let json_rows =
+    run_rows
+      [
+        float_col "drop" "drop" "%.2f" fst;
+        int_col "" "runs" (fun (_, ts) -> List.length ts);
+        float_col "bytes" "bytes_avg" "%.0f" bytes_avg;
+        float_col "byte ovh" "byte_overhead" "%.2fx" (fun r ->
+            bytes_avg r /. float_of_int (max base_bytes 1));
+        float_col "virt ms" "virtual_ms_avg" "%.1f" ms_avg;
+        float_col "time ovh" "time_overhead" "%.2fx" (fun r ->
+            ms_avg r /. max base_ms 1e-6);
+        float_col "retx" "retransmits_avg" "%.1f"
+          (avg (fun t -> float_of_int t.rc.System.retransmits));
+        float_col "drops" "drops_avg" "%.1f"
+          (avg (fun t -> float_of_int t.stats.drops));
+        float_col "dup supp" "dup_suppressed_avg" "%.1f"
+          (avg (fun t -> float_of_int t.rc.System.dup_suppressed));
+        out_of "reliable ok" "reliable_correct" (fun t -> t.reliable_ok);
+        out_of "raw lost" "raw_lost" (fun t -> not t.raw_ok);
+      ]
+      rows
+  in
+  let trials = List.concat_map (fun (_, (_, ts)) -> ts) rows in
+  finish "E18" ~smoke
+    ((("base_bytes", string_of_int base_bytes) :: ("base_virtual_ms", json_f base_ms)
+     :: gates
+          [
+            ( "all_reliable_correct",
+              List.for_all (fun t -> t.reliable_ok) trials,
+              "E18 a reliable run diverged from the fault-free answer" );
+          ])
+    @ [
+        ( "raw_lost_runs",
+          string_of_int (List.length (List.filter (fun t -> not t.raw_ok) trials)) );
+        ("rows", json_arr json_rows);
+      ])
+    "byte and time overheads grow with the drop rate while the\n\
      reliable answer column stays full — the protocol converts loss into\n\
      latency and retransmitted bytes; the raw ablation loses the answer\n\
-     at the same rates\n"
+     at the same rates"
 
 (* --- E19: batched transport ablation ----------------------------- *)
 
@@ -1924,6 +1968,18 @@ let e18 ?(smoke = false) () =
    Correctness bar: every coalescing run must reproduce its 0/0 twin's
    answer and final Σ fingerprint. *)
 
+(* One workload run at one flush/ack setting; [twin] is the same
+   workload's flush 0 / ack 0 run ([flush_ms = 0.0] marks that run
+   itself). *)
+type coalescing = {
+  flush_ms : float;
+  ack_delay_ms : float;
+  st : Net.Stats.snapshot;
+  rc : System.reliability_counters;
+  twin : Net.Stats.snapshot;
+  correct : bool;
+}
+
 let e19 ?(smoke = false) () =
   section
     (if smoke then "E19  batched transport ablation (smoke)"
@@ -1932,7 +1988,6 @@ let e19 ?(smoke = false) () =
     "workloads: stream (chatty continuous service), join (request/response\n\
      rounds), dup (identical concurrent transfers); each runs on the\n\
      Reliable transport at flush 0/ack 0 and with batching on\n\n";
-  let link = Net.Link.make ~latency_ms:10.0 ~bandwidth_bytes_per_ms:100.0 in
   (* stream: a continuous service at p2 pushing [stream_k] one-element
      responses, spaced 1ms apart, into a collector document at p1 — the
      envelope-per-message worst case the flush window exists for. *)
@@ -1941,7 +1996,7 @@ let e19 ?(smoke = false) () =
     let sys =
       System.create ~transport:System.Reliable ~response_delay_ms:1.0 ~flush_ms
         ~ack_delay_ms
-        (Net.Topology.full_mesh ~link [ p1; p2 ])
+        (Net.Topology.full_mesh ~link:default_link [ p1; p2 ])
     in
     System.add_service sys p2
       (Doc.Service.extern ~name:"streamer"
@@ -1965,16 +2020,9 @@ let e19 ?(smoke = false) () =
            ~provider:(Names.At p2) ~service:"streamer" [])
         ~at:p1
     in
-    let out = Runtime.Exec.run_to_quiescence sys ~ctx:p1 plan in
-    (* The stream's answer lives in the collector document; compare the
-       final Σ rather than the (empty) plan results. *)
-    ( out.Runtime.Exec.results, out.Runtime.Exec.finished,
-      out.Runtime.Exec.stats, System.fingerprint sys,
-      System.reliability_counters sys )
-  in
-  let join =
-    Query.Parser.parse_exn
-      {|query(2) for $x in $0//item, $y in $1//item where attr($x, "category") = "wanted" and attr($y, "category") = "wanted" return <pair>{attr($x, "id")}{attr($y, "id")}</pair>|}
+    (* The stream's answer lives in the collector document; the
+       comparison of the final Σ covers it. *)
+    (sys, [ run_plan sys plan ])
   in
   let items = if smoke then 15 else 30 in
   let catalog_at sys ~seed p =
@@ -1990,22 +2038,16 @@ let e19 ?(smoke = false) () =
     let sys =
       System.create ~transport:System.Reliable ~rto_ms:150.0 ~flush_ms
         ~ack_delay_ms
-        (Net.Topology.full_mesh ~link [ p1; p2; p3 ])
+        (Net.Topology.full_mesh ~link:default_link [ p1; p2; p3 ])
     in
     List.iteri (fun i p -> catalog_at sys ~seed:(190 + i) p) [ p2; p3 ];
     let plan =
-      Expr.query_at join ~at:p1
+      Expr.query_at wanted_pairs ~at:p1
         ~args:[ Expr.doc "cat" ~at:"p2"; Expr.doc "cat" ~at:"p3" ]
     in
-    let outs =
+    ( sys,
       List.init join_rounds (fun i ->
-          Runtime.Exec.run_to_quiescence ~reset_stats:(i = 0) sys ~ctx:p1 plan)
-    in
-    let last = List.nth outs (join_rounds - 1) in
-    ( (List.hd outs).Runtime.Exec.results,
-      List.for_all (fun (o : Runtime.Exec.outcome) -> o.finished) outs,
-      last.Runtime.Exec.stats, System.fingerprint sys,
-      System.reliability_counters sys )
+          Runtime.Exec.run_to_quiescence ~reset_stats:(i = 0) sys ~ctx:p1 plan) )
   in
   (* dup: both join inputs fetch the same catalog from p2, so two
      identical transfers are in flight in the same flush window. *)
@@ -2013,89 +2055,94 @@ let e19 ?(smoke = false) () =
     let sys =
       System.create ~transport:System.Reliable ~rto_ms:150.0 ~flush_ms
         ~ack_delay_ms
-        (Net.Topology.full_mesh ~link [ p1; p2 ])
+        (Net.Topology.full_mesh ~link:default_link [ p1; p2 ])
     in
     catalog_at sys ~seed:191 p2;
     let fetch = Expr.send_to_peer p1 (Expr.doc "cat" ~at:"p2") in
-    let plan = Expr.query_at join ~at:p1 ~args:[ fetch; fetch ] in
-    let out = Runtime.Exec.run_to_quiescence sys ~ctx:p1 plan in
-    ( out.Runtime.Exec.results, out.Runtime.Exec.finished,
-      out.Runtime.Exec.stats, System.fingerprint sys,
-      System.reliability_counters sys )
+    (sys, [ run_plan sys (Expr.query_at wanted_pairs ~at:p1 ~args:[ fetch; fetch ]) ])
   in
   let configs = [ (0.5, 2.0); (2.0, 8.0); (5.0, 20.0) ] in
   let headline_flush, headline_ack = (2.0, 8.0) in
-  let per_workload =
-    List.map
+  let rows =
+    List.concat_map
       (fun (name, run) ->
-        let res0, fin0, st0, fp0, rc0 = run ~flush_ms:0.0 ~ack_delay_ms:0.0 in
-        if not fin0 then Printf.printf "  !! E19 %s baseline did not finish\n" name;
-        let runs =
-          List.map
-            (fun (flush_ms, ack_delay_ms) ->
-              let res, fin, st, fp, rc = run ~flush_ms ~ack_delay_ms in
-              let correct =
-                fin && fin0
-                && Xml.Canonical.equal_forest res0 res
-                && String.equal fp0 fp
-              in
-              (flush_ms, ack_delay_ms, st, rc, correct))
-            configs
+        (* One setting: the first round's answer, whether every round
+           finished, the final Σ, and the row (cumulative stats of the
+           last round). *)
+        let settle (flush_ms, ack_delay_ms) =
+          let sys, outs = run ~flush_ms ~ack_delay_ms in
+          let st = (List.nth outs (List.length outs - 1)).Runtime.Exec.stats in
+          ( (List.hd outs).Runtime.Exec.results,
+            List.for_all (fun (o : Runtime.Exec.outcome) -> o.finished) outs,
+            System.fingerprint sys,
+            { flush_ms; ack_delay_ms; st; rc = System.reliability_counters sys;
+              twin = st; correct = true } )
         in
-        (name, st0, rc0, runs))
+        let res0, fin0, fp0, base = settle (0.0, 0.0) in
+        gate fin0 (Printf.sprintf "E19 %s baseline did not finish" name);
+        (name, base)
+        :: List.map
+             (fun knobs ->
+               let res, fin, fp, r = settle knobs in
+               let correct =
+                 fin && fin0
+                 && Xml.Canonical.equal_forest res0 res
+                 && String.equal fp0 fp
+               in
+               (name, { r with twin = base.st; correct }))
+             configs)
       [ ("stream", run_stream); ("join", run_join); ("dup", run_dup) ]
   in
   let reduction base v =
     1.0 -. (float_of_int v /. float_of_int (max 1 base))
   in
   let pct x = Printf.sprintf "%.0f%%" (x *. 100.0) in
-  table
-    ~headers:
-      [ "workload"; "flush/ack ms"; "frames"; "logical"; "bytes"; "acks";
-        "pb+del"; "dedup B"; "msg red"; "byte red"; "ok" ]
-    (List.concat_map
-       (fun (name, (st0 : Net.Stats.snapshot), rc0, runs) ->
-         let base_row =
-           [
-             name; "off"; string_of_int st0.messages;
-             string_of_int st0.payload_messages; string_of_int st0.bytes;
-             string_of_int rc0.System.acks_sent; "-"; "-"; "-"; "-"; "yes";
-           ]
-         in
-         base_row
-         :: List.map
-              (fun (f, a, (st : Net.Stats.snapshot), rc, correct) ->
-                [
-                  name; Printf.sprintf "%g/%g" f a; string_of_int st.messages;
-                  string_of_int st.payload_messages; string_of_int st.bytes;
-                  string_of_int rc.System.acks_sent;
-                  string_of_int
-                    (rc.System.piggybacked_acks + rc.System.delayed_acks);
-                  string_of_int rc.System.dedup_shared_bytes;
-                  pct (reduction st0.messages st.messages);
-                  pct (reduction st0.bytes st.bytes);
-                  (if correct then "yes" else "NO");
-                ])
-              runs)
-       per_workload);
-  let all_correct =
-    List.for_all
-      (fun (_, _, _, runs) ->
-        List.for_all (fun (_, _, _, _, ok) -> ok) runs)
-      per_workload
+  (* The 0/0 rows show "-" where only a coalescing run has a value. *)
+  let coalesced c =
+    { c with text = (fun r -> if r.flush_ms > 0.0 then c.text r else "-") }
   in
-  if not all_correct then
-    Printf.printf "  !! E19 a batched run diverged from its 0/0 twin\n";
+  let reduction_col head key f =
+    let red r = reduction (f r.twin) (f r.st) in
+    coalesced { (float_col head key "%g" red) with text = (fun r -> pct (red r)) }
+  in
+  let json_rows =
+    run_rows ~label:"workload"
+      [
+        {
+          (float_col "flush/ack ms" "flush_ms" "%g" (fun r -> r.flush_ms)) with
+          text =
+            (fun r ->
+              if r.flush_ms > 0.0 then Printf.sprintf "%g/%g" r.flush_ms r.ack_delay_ms
+              else "off");
+        };
+        float_col "" "ack_delay_ms" "%g" (fun r -> r.ack_delay_ms);
+        int_col "frames" "messages" (fun r -> r.st.messages);
+        int_col "logical" "payload_messages" (fun r -> r.st.payload_messages);
+        int_col "bytes" "bytes" (fun r -> r.st.bytes);
+        int_col "acks" "acks_sent" (fun r -> r.rc.acks_sent);
+        coalesced
+          (int_col "pb+del" "" (fun r -> r.rc.piggybacked_acks + r.rc.delayed_acks));
+        int_col "" "batches_sent" (fun r -> r.rc.batches_sent);
+        int_col "" "batched_messages" (fun r -> r.rc.batched_messages);
+        int_col "" "piggybacked_acks" (fun r -> r.rc.piggybacked_acks);
+        int_col "" "delayed_acks" (fun r -> r.rc.delayed_acks);
+        coalesced
+          (int_col "dedup B" "dedup_shared_bytes" (fun r -> r.rc.dedup_shared_bytes));
+        reduction_col "msg red" "message_reduction" (fun st -> st.messages);
+        reduction_col "byte red" "byte_reduction" (fun st -> st.bytes);
+        bool_col "ok" "correct" (fun r -> r.correct);
+      ]
+      rows
+  in
   (* Headline: aggregate frame/byte reduction across the three
      workloads at the default-recommended knobs. *)
   let sum f =
     List.fold_left
-      (fun (base, on_) (_, (st0 : Net.Stats.snapshot), _, runs) ->
-        let _, _, (st : Net.Stats.snapshot), _, _ =
-          List.find (fun (fl, a, _, _, _) -> fl = headline_flush && a = headline_ack) runs
-        in
-        (base + f st0, on_ + f st))
-      (0, 0) per_workload
+      (fun (base, on_) (_, r) ->
+        if r.flush_ms = headline_flush && r.ack_delay_ms = headline_ack then
+          (base + f r.twin, on_ + f r.st)
+        else (base, on_))
+      (0, 0) rows
   in
   let base_msgs, on_msgs = sum (fun st -> st.Net.Stats.messages) in
   let base_bytes, on_bytes = sum (fun st -> st.Net.Stats.bytes) in
@@ -2106,65 +2153,27 @@ let e19 ?(smoke = false) () =
      bytes (%s)\n"
     headline_flush headline_ack base_msgs on_msgs (pct msg_red) base_bytes
     on_bytes (pct byte_red);
-  if msg_red < 0.30 then
-    Printf.printf "  !! E19 headline message reduction below the 30%% bar\n";
-  write_json "BENCH_E19.json"
-    (json_obj
-       [
-         ("experiment", json_s "E19"); ("smoke", json_b smoke);
-         ("headline_flush_ms", json_f headline_flush);
-         ("headline_ack_delay_ms", json_f headline_ack);
-         ("headline_message_reduction", json_f msg_red);
-         ("headline_byte_reduction", json_f byte_red);
-         ("meets_30pct_message_reduction", json_b (msg_red >= 0.30));
-         ("all_correct", json_b all_correct);
-         ( "rows",
-           json_arr
-             (List.concat_map
-                (fun (name, (st0 : Net.Stats.snapshot), rc0, runs) ->
-                  let row ~flush ~ack (st : Net.Stats.snapshot)
-                      (rc : System.reliability_counters) ~msg_red ~byte_red
-                      ~correct =
-                    json_obj
-                      [
-                        ("workload", json_s name); ("flush_ms", json_f flush);
-                        ("ack_delay_ms", json_f ack);
-                        ("messages", string_of_int st.messages);
-                        ("payload_messages", string_of_int st.payload_messages);
-                        ("bytes", string_of_int st.bytes);
-                        ("acks_sent", string_of_int rc.System.acks_sent);
-                        ("batches_sent", string_of_int rc.System.batches_sent);
-                        ("batched_messages",
-                         string_of_int rc.System.batched_messages);
-                        ("piggybacked_acks",
-                         string_of_int rc.System.piggybacked_acks);
-                        ("delayed_acks", string_of_int rc.System.delayed_acks);
-                        ("dedup_shared_bytes",
-                         string_of_int rc.System.dedup_shared_bytes);
-                        ("message_reduction", json_f msg_red);
-                        ("byte_reduction", json_f byte_red);
-                        ("correct", json_b correct);
-                      ]
-                  in
-                  row ~flush:0.0 ~ack:0.0 st0 rc0 ~msg_red:0.0 ~byte_red:0.0
-                    ~correct:true
-                  :: List.map
-                       (fun (f, a, st, rc, correct) ->
-                         row ~flush:f ~ack:a st rc
-                           ~msg_red:(reduction st0.messages st.Net.Stats.messages)
-                           ~byte_red:(reduction st0.bytes st.Net.Stats.bytes)
-                           ~correct)
-                       runs)
-                per_workload) );
-       ]);
-  write_summary ();
-  Printf.printf
-    "\nwrote BENCH_E19.json and BENCH_summary.json\n\
-     shape: the chatty stream collapses into a handful of frames — the\n\
+  finish "E19" ~smoke
+    ([
+       ("headline_flush_ms", json_f headline_flush);
+       ("headline_ack_delay_ms", json_f headline_ack);
+       ("headline_message_reduction", json_f msg_red);
+       ("headline_byte_reduction", json_f byte_red);
+     ]
+    @ gates
+        [
+          ( "meets_30pct_message_reduction", msg_red >= 0.30,
+            "E19 headline message reduction below the 30% bar" );
+          ( "all_correct",
+            List.for_all (fun (_, r) -> r.correct) rows,
+            "E19 a batched run diverged from its 0/0 twin" );
+        ]
+    @ [ ("rows", json_arr json_rows) ])
+    "the chatty stream collapses into a handful of frames — the\n\
      flush window removes envelopes and the ack delay removes standalone\n\
      acks (piggybacked on reverse batches where traffic flows both ways);\n\
      the dup workload additionally ships its second identical transfer\n\
-     as a back-reference\n"
+     as a back-reference"
 
 (* --- E20–E24: the scenario runs ---------------------------------- *)
 
@@ -2173,26 +2182,6 @@ let e19 ?(smoke = false) () =
    column list. *)
 
 module Run = Workload.Run
-
-(* The hard checks of E20–E24: a failure prints a "!!" line and makes
-   bench/main.exe exit non-zero.  "~~" lines are advisory wall-clock
-   notes. *)
-let hard_failures = ref 0
-
-let gate ok msg =
-  if not ok then begin
-    incr hard_failures;
-    Printf.printf "  !! %s\n" msg
-  end
-
-(* Each (artifact key, holds, message): gate it, return the artifact
-   fields. *)
-let gates checks =
-  List.map
-    (fun (key, ok, msg) ->
-      gate ok msg;
-      (key, json_b ok))
-    checks
 
 (* (mirrors, subscribers, requests per subscriber): tiers of 10, 100
    and 1000 peers (publisher included), sized so the top tier delivers
@@ -2231,95 +2220,63 @@ let migrations (r : Run.result) =
 let invalidations (r : Run.result) =
   r.qcache.invalidations + r.qcache.stale_drops
 
-(* A result column: its table header ("" = artifact only), its
-   artifact key, and the two renderings.  Every artifact reads a key
-   the same way. *)
-type col = {
-  head : string;
-  key : string;
-  text : Run.result -> string;
-  json : Run.result -> string;
-}
-
-let int_col head key f =
-  let s r = string_of_int (f r) in
-  { head; key; text = s; json = s }
-
-let float_col head key fmt f =
-  {
-    head;
-    key;
-    text = (fun r -> Printf.sprintf fmt (f r));
-    json = (fun r -> json_f (f r));
-  }
-
-let quiet c = { c with head = "" }
+(* Columns over one run; the row type is a record from another module,
+   so each field read names it. *)
 let c_peers = int_col "peers" "peers" peers
-let c_requests = int_col "requests" "requests" (fun r -> r.requests)
-let c_completed = int_col "completed" "completed" (fun r -> r.completed)
-let c_unserved = int_col "unserved" "unserved" (fun r -> r.unserved)
-let c_events = int_col "events" "events" (fun r -> r.events)
-let c_messages = int_col "messages" "messages" (fun r -> r.stats.messages)
-let c_bytes = int_col "bytes" "bytes" (fun r -> r.stats.bytes)
+let c_requests = int_col "requests" "requests" (fun (r : Run.result) -> r.requests)
+
+let c_completed =
+  int_col "completed" "completed" (fun (r : Run.result) -> r.completed)
+
+let c_unserved = int_col "unserved" "unserved" (fun (r : Run.result) -> r.unserved)
+let c_events = int_col "events" "events" (fun (r : Run.result) -> r.events)
+
+let c_messages =
+  int_col "messages" "messages" (fun (r : Run.result) -> r.stats.messages)
+
+let c_bytes = int_col "bytes" "bytes" (fun (r : Run.result) -> r.stats.bytes)
+
 let c_done head fmt =
-  float_col head "completion_ms" fmt (fun r -> r.stats.completion_ms)
-let c_wall = float_col "wall s" "wall_s" "%.3f" (fun r -> r.wall_s)
+  float_col head "completion_ms" fmt (fun (r : Run.result) ->
+      r.stats.completion_ms)
+
+let c_wall = float_col "wall s" "wall_s" "%.3f" (fun (r : Run.result) -> r.wall_s)
 let c_eps = float_col "events/s" "events_per_sec" "%.3g" events_per_sec
 let c_wpe = float_col "words/event" "words_per_event" "%.1f" words_per_event
-let c_decodes = int_col "decodes" "payload_decodes" (fun r -> r.payload_decodes)
-let c_spans = int_col "spans" "sampled_spans" (fun r -> r.spans)
-let c_series = int_col "series" "timeseries_keys" (fun r -> r.series)
+
+let c_decodes =
+  int_col "decodes" "payload_decodes" (fun (r : Run.result) -> r.payload_decodes)
+
+let c_spans = int_col "spans" "sampled_spans" (fun (r : Run.result) -> r.spans)
+let c_series = int_col "series" "timeseries_keys" (fun (r : Run.result) -> r.series)
 
 let c_p q =
-  float_col (Printf.sprintf "p%d ms" q) (Printf.sprintf "p%d_ms" q) "%.1f" (fun r ->
-      Run.quantile r.latencies (float_of_int q /. 100.0))
+  float_col (Printf.sprintf "p%d ms" q) (Printf.sprintf "p%d_ms" q) "%.1f"
+    (fun (r : Run.result) -> Run.quantile r.latencies (float_of_int q /. 100.0))
 
 let c_migr = int_col "migr" "migrations_committed" migrations
-let c_hits = int_col "hits" "cache_hits" (fun r -> r.qcache.hits)
-let c_misses = int_col "" "cache_misses" (fun r -> r.qcache.misses)
+let c_hits = int_col "hits" "cache_hits" (fun (r : Run.result) -> r.qcache.hits)
+let c_misses = int_col "" "cache_misses" (fun (r : Run.result) -> r.qcache.misses)
 let c_inval = int_col "inval" "cache_invalidations" invalidations
-let c_installs = int_col "" "cache_installs" (fun r -> r.qcache.installs)
+
+let c_installs =
+  int_col "" "cache_installs" (fun (r : Run.result) -> r.qcache.installs)
+
 let c_fp =
-  { (quiet c_events) with key = "fingerprint"; json = (fun r -> json_s r.fingerprint) }
+  {
+    (quiet c_events) with
+    key = "fingerprint";
+    json = (fun (r : Run.result) -> json_s r.fingerprint);
+  }
 
 let c_content_fp =
   {
     c_fp with
     key = "content_fingerprint";
-    json = (fun r -> json_s r.content_fingerprint);
+    json = (fun (r : Run.result) -> json_s r.content_fingerprint);
   }
 
-let c_ok =
-  {
-    head = "ok";
-    key = "quiescent_and_complete";
-    text = (fun r -> if Run.ok r then "yes" else "NO");
-    json = (fun r -> json_b (Run.ok r));
-  }
-
-(* Print labelled runs as a table ([label] heads the label column; none
-   for unlabelled rows) and return them as artifact rows, each prefixed
-   by [tag]. *)
-let run_rows ?label ?(tag = []) cols rows =
-  let shown = List.filter (fun c -> c.head <> "") cols in
-  let lab l = Option.fold ~none:[] ~some:(fun _ -> [ l ]) label in
-  table
-    ~headers:(lab (Option.value label ~default:"") @ List.map (fun c -> c.head) shown)
-    (List.map (fun (l, r) -> lab l @ List.map (fun c -> c.text r) shown) rows);
-  List.map
-    (fun (l, r) ->
-      json_obj
-        (tag
-        @ Option.fold ~none:[] ~some:(fun k -> [ (k, json_s l) ]) label
-        @ List.map (fun c -> (c.key, c.json r)) cols))
-    rows
-
-let finish id ~smoke fields shape =
-  let file = "BENCH_" ^ id ^ ".json" in
-  write_json file
-    (json_obj (("experiment", json_s id) :: ("smoke", json_b smoke) :: fields));
-  write_summary ();
-  Printf.printf "\nwrote %s and BENCH_summary.json\nshape: %s\n" file shape
+let c_ok = bool_col "ok" "quiescent_and_complete" Run.ok
 
 (* --- E20: web-scale flash crowd ------------------------------- *)
 
@@ -2495,14 +2452,12 @@ let e21 ?(smoke = false) () =
    re-batch, so the wire's accounting cost is on the per-event path —
    the XML model walks per-forest memo tables per charge, the binary
    wire reads one cached frame-length integer.  Raw arms ride along as
-   the floor where both wires charge once per message.  Three
-   invariants gate the design:
+   the floor where both wires charge once per message.  Two invariants
+   gate the design:
    - the wire never changes answers: per tier and transport, the XML
      and binary arms reach the same Σ fingerprint (binary-strict, which
      round-trips every transmission through encode/decode, included);
-   - binary frames are strictly smaller than the XML sizing model;
-   - a relay re-batches binary frames without decoding any payload
-     (Message.payload_decodes stays flat across slice + re-frame). *)
+   - binary frames are strictly smaller than the XML sizing model. *)
 let e22 ?(smoke = false) () =
   section
     (if smoke then "E22  binary wire codec ablation (smoke)"
@@ -2585,46 +2540,6 @@ let e22 ?(smoke = false) () =
           "E22 strict wire: the run failed to complete" );
       ]
   in
-  (* Relay micro-check: slice and re-frame an encoded batch; the
-     decode counter must not move. *)
-  let relay_decodes, relay_ns =
-    let g = Xml.Node_id.Gen.create ~namespace:"e22-relay" in
-    let msgs =
-      List.init 16 (fun i ->
-          Runtime.Message.make ~seq:(i + 1)
-            (Runtime.Message.Stream
-               {
-                 key = i;
-                 forest =
-                   Runtime.Message.now
-                     [
-                       Xml.Parser.parse_exn ~gen:g
-                         (Printf.sprintf
-                            "<pkg name=\"pkg%03d\"><blob>%s</blob></pkg>" i
-                            (String.make 64 'x'));
-                     ];
-                 final = true;
-               }))
-    in
-    let frame =
-      Runtime.Codec.encode
-        (Runtime.Message.make (Runtime.Message.batch ~ack:3 msgs))
-    in
-    let iters = if smoke then 1_000 else 20_000 in
-    let d0 = Runtime.Message.payload_decodes () in
-    let t0 = Sys.time () in
-    for i = 1 to iters do
-      match Runtime.Codec.Relay.parse_batch frame with
-      | Ok (_, items) -> ignore (Runtime.Codec.Relay.rebatch ~ack:i items)
-      | Error _ -> failwith "E22: relay parse failed"
-    done;
-    let per_op = (Sys.time () -. t0) /. float_of_int iters *. 1e9 in
-    (Runtime.Message.payload_decodes () - d0, per_op)
-  in
-  Printf.printf
-    "relay: slice + re-frame a 16-message batch, %d payload decodes, %.0f \
-     ns/frame\n"
-    relay_decodes relay_ns;
   finish "E22" ~smoke
     [
       ("rows", json_arr rows);
@@ -2637,16 +2552,10 @@ let e22 ?(smoke = false) () =
              ("payload_decodes", string_of_int strict.payload_decodes);
            ]
           @ strict_gates) );
-      ( "relay",
-        json_obj
-          [
-            ("payload_decodes", string_of_int relay_decodes);
-            ("ns_per_frame", json_f relay_ns);
-          ] );
     ]
     "identical Σ per tier across wires, binary bytes well below\n\
-     the XML model, batched-binary wall and words/event at or below the\n\
-     batched-XML arm, and zero relay payload decodes"
+     the XML model, and batched-binary wall and words/event at or below\n\
+     the batched-XML arm"
 
 (* --- E23: adaptive replica placement ------------------------------ *)
 
@@ -2843,14 +2752,7 @@ let e24 ?(smoke = false) () =
      non-zero hits and exercised invalidation"
 
 let all =
-  [
-    e1; e2; e3; e4; e5; e6; e7; e8; e9; e10; e11; e12; e13; e14; e15; e16;
-    (fun () -> e17 ());
-    (fun () -> e18 ());
-    (fun () -> e19 ());
-    (fun () -> e20 ());
-    (fun () -> e21 ());
-    (fun () -> e22 ());
-    (fun () -> e23 ());
-    (fun () -> e24 ());
-  ]
+  [ e1; e2; e3; e4; e5; e6; e7; e8; e9; e10; e11; e12; e13; e14; e15; e16 ]
+  @ List.map
+      (fun (e : ?smoke:bool -> unit -> unit) () -> e ())
+      [ e17; e18; e19; e20; e21; e22; e23; e24 ]

@@ -298,8 +298,7 @@ let decode_tree_blob r =
 
    The per-tree length prefixes are the offset index: a reader can
    locate every tree (and the end of the section) without parsing any
-   blob, which is what makes lazy decode and zero-parse relay slicing
-   possible. *)
+   blob, which is what makes lazy decode possible. *)
 
 let forest_section_size lf =
   let open Message in
@@ -786,84 +785,3 @@ let roundtrip m =
   match decode (encode m) with
   | Ok m' -> m'
   | Error e -> invalid_arg (Format.asprintf "Codec.roundtrip: %a" pp_error e)
-
-(* ---------- zero-parse relay slicing ----------
-
-   A relay (the paper's rule (12) intermediary) re-batches frames
-   without interpreting payloads: it slices a batch frame along the
-   per-item length prefixes, reads only the scalar headers it routes
-   on, and blits the slices into a fresh frame.  No forest blob is
-   ever parsed — Message.payload_decodes stays flat. *)
-
-module Relay = struct
-  type item = {
-    src : Bytes.t;
-    off : int;  (** item start: the tag byte *)
-    len : int;  (** full item extent, tag byte included *)
-    seq : int;  (** sequence number read from the item header *)
-    of_seq : int;  (** back-reference target, [-1] for full items *)
-  }
-
-  let item_seq it = it.seq
-  let item_of_seq it = it.of_seq
-  let is_shared it = it.of_seq >= 0
-
-  let parse_batch buf =
-    try
-      let r = { buf; pos = 0; limit = Bytes.length buf } in
-      let blen = rd_uv r in
-      if blen < 0 || blen > r.limit - r.pos then truncated ();
-      if blen < r.limit - r.pos then malformed "over-length frame";
-      if rd_byte r <> magic then malformed "bad magic";
-      if rd_byte r <> version then malformed "unsupported version";
-      let _corr = rd_zv r in
-      let _seq = rd_zv r in
-      let _op = rd_zv r in
-      if rd_byte r <> 8 then malformed "not a batch frame";
-      let ack = rd_zv r in
-      let nitems = rd_count r ~per:2 in
-      let items =
-        List.init nitems (fun _ ->
-            let off = r.pos in
-            let of_seq =
-              match rd_byte r with
-              | 0 -> -1
-              | 1 ->
-                  let of_seq = rd_zv r in
-                  let _saved = rd_uv r in
-                  of_seq
-              | k -> malformed (Printf.sprintf "unknown batch item tag %#x" k)
-            in
-            let sublen = rd_len r in
-            let hdr = { buf; pos = r.pos; limit = r.pos + sublen } in
-            let _corr = rd_zv hdr in
-            let seq = rd_zv hdr in
-            rd_skip r sublen;
-            { src = buf; off; len = r.pos - off; seq; of_seq })
-      in
-      if r.pos <> r.limit then malformed "trailing payload bytes";
-      Ok (ack, items)
-    with
-    | Err e -> Error e
-    | Invalid_argument m -> Error (Malformed m)
-
-  let rebatch ?(corr = 0) ?(seq = 0) ?(op = -1) ~ack items =
-    let b = Buffer.create 256 in
-    Buffer.add_char b '\x08';
-    buf_zv b ack;
-    buf_uv b (List.length items);
-    List.iter (fun it -> Buffer.add_subbytes b it.src it.off it.len) items;
-    let payload = Buffer.to_bytes b in
-    let body =
-      2 + zv_size corr + zv_size seq + zv_size op + Bytes.length payload
-    in
-    let out = Buffer.create (uv_size body + body) in
-    buf_uv out body;
-    Buffer.add_char out (Char.chr magic);
-    Buffer.add_char out (Char.chr version);
-    buf_zv out corr;
-    buf_zv out seq;
-    buf_zv out op;
-    Buffer.add_bytes out payload;
-    Buffer.to_bytes out
-end

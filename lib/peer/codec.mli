@@ -10,7 +10,7 @@
     blob   := string table (labels, attr names, id namespaces) + nodes
     v}
 
-    Three properties the rest of the stack builds on:
+    Two properties the rest of the stack builds on:
 
     - {b Exact sizing without encoding.}  {!frame_bytes} computes the
       encoded length arithmetically from cached per-tree blob lengths;
@@ -20,9 +20,6 @@
       frame buffer; nothing is parsed until first touch
       ({!Message.force}), and {!Message.payload_decodes} counts
       touches.
-    - {b Zero-parse relaying.}  {!Relay} slices batch frames along
-      their length prefixes and re-batches by blitting — a rule (12)
-      intermediary never decodes the payloads it forwards.
 
     Per-tree blobs are cached in a weak pointer-keyed table: a tree
     shared by many messages is encoded once, and sizing it again is a
@@ -55,28 +52,3 @@ val roundtrip : Message.t -> Message.t
     send through this so the whole stack exercises the codec.
     @raise Invalid_argument if decoding fails (encode/decode mismatch
     — a codec bug, not an input condition). *)
-
-(** Zero-parse slicing and re-batching of encoded batch frames. *)
-module Relay : sig
-  type item
-  (** A slice of an encoded batch frame covering one item, tag byte
-      included.  Only the scalar item header has been read. *)
-
-  val item_seq : item -> int
-  val item_of_seq : item -> int
-  (** Back-reference target of a shared item, [-1] for full items. *)
-
-  val is_shared : item -> bool
-  (** A shared item's forest lives in the item {!item_of_seq} points
-      at; dropping the referent from a re-batched frame would dangle
-      the reference. *)
-
-  val parse_batch : Bytes.t -> (int * item list, error) result
-  (** The frame's cumulative ack and its item slices.  No payload —
-      in particular no forest blob — is parsed. *)
-
-  val rebatch :
-    ?corr:int -> ?seq:int -> ?op:int -> ack:int -> item list -> Bytes.t
-  (** A fresh batch frame carrying the given item slices verbatim
-      (blitted, not re-encoded) under a new envelope and ack. *)
-end

@@ -11,8 +11,7 @@ type reply_dest =
    still sitting encoded in a received frame ([Todo]).  The binary
    codec builds [Todo] values whose [decode] thunk parses the frame
    slice on first touch; [enc] keeps the slice itself so the forest
-   can be re-encoded (relay forwarding, retransmission) without ever
-   being parsed.  [wire] caches the encoded-section length and [dig]
+   can be re-encoded (retransmission) without ever being parsed.  [wire] caches the encoded-section length and [dig]
    the structural digest — both are per-message scratch owned by the
    codec and the batch dedup; neither affects equality of the carried
    forest. *)
@@ -30,8 +29,8 @@ let now f = { st = Done f; wire = -1; dig = 0 }
 let delay ~trees ~enc decode = { st = Todo { trees; decode; enc }; wire = -1; dig = 0 }
 
 (* Count of lazy payload decodes since the last reset — the
-   observable that proves relays and the transport layer never touch
-   forest content (they slice frames instead). *)
+   observable that proves the transport layer never touches forest
+   content. *)
 let decodes = ref 0
 let payload_decodes () = !decodes
 let reset_payload_decodes () = decodes := 0
@@ -231,8 +230,8 @@ let tag = function
   | Ack _ -> "ack"
   | Batch _ -> "batch"
 
-(* Printing must not force a lazy forest — tracing a relayed frame
-   would otherwise defeat zero-parse forwarding.  An undecoded forest
+(* Printing must not force a lazy forest — tracing a received frame
+   would otherwise decode its payload.  An undecoded forest
    prints its encoded-slice length instead. *)
 let pp_lf_bytes fmt lf =
   match lf.st with

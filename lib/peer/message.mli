@@ -20,7 +20,7 @@ module Names = Axml_doc.Names
     encoded inside a received binary frame.  Producers build
     materialized forests with {!now}; the binary decoder builds lazy
     ones with {!delay}, whose thunk parses the frame slice on first
-    touch.  Transport-layer code (batching, relaying, retransmission,
+    touch.  Transport-layer code (batching, retransmission,
     byte accounting under the binary wire) never needs the trees and
     so never forces — {!payload_decodes} counts forcings to make that
     claim checkable. *)
@@ -58,8 +58,8 @@ val is_forced : lforest -> bool
 
 val payload_decodes : unit -> int
 (** Global count of lazy forest decodes since the last
-    {!reset_payload_decodes} — the counter that verifies zero-parse
-    relay forwarding. *)
+    {!reset_payload_decodes} — the counter that verifies the transport
+    layer never decodes a payload. *)
 
 val reset_payload_decodes : unit -> unit
 

@@ -632,8 +632,12 @@ let resync_replicas t p =
     (peers t)
 
 let create ?(response_delay_ms = 1.0) ?(cpu_ms_per_kb = 0.01)
-    ?(transport = Raw) ?(wire = Xml) ?(rto_ms = 40.0) ?(max_retries = 30)
-    ?(flush_ms = 0.0) ?(ack_delay_ms = 0.0) topology =
+    ?(transport = Raw) ?(wire = Xml) ?(rto_ms = 40.0) ?(flush_ms = 0.0)
+    ?(ack_delay_ms = 0.0) topology =
+  if response_delay_ms < 0.0 then
+    invalid_arg "System.create: negative response_delay_ms";
+  if cpu_ms_per_kb < 0.0 then invalid_arg "System.create: negative cpu_ms_per_kb";
+  if rto_ms <= 0.0 then invalid_arg "System.create: non-positive rto_ms";
   if flush_ms < 0.0 then invalid_arg "System.create: negative flush_ms";
   if ack_delay_ms < 0.0 then invalid_arg "System.create: negative ack_delay_ms";
   let sim = Sim.create topology in
@@ -651,8 +655,8 @@ let create ?(response_delay_ms = 1.0) ?(cpu_ms_per_kb = 0.01)
       flush_ms;
       ack_delay_ms;
       rel =
-        Transport.create ~sim ~transmit:(raw_send sim wire) ~rto_ms
-          ~max_retries ~flush_ms ~ack_delay_ms;
+        Transport.create ~sim ~transmit:(raw_send sim wire) ~rto_ms ~flush_ms
+          ~ack_delay_ms;
       failover_save = ignore;
       failover_load = ignore;
       qcache_capacity = None;

@@ -48,7 +48,6 @@ val create :
   ?transport:transport ->
   ?wire:wire ->
   ?rto_ms:float ->
-  ?max_retries:int ->
   ?flush_ms:float ->
   ?ack_delay_ms:float ->
   Axml_net.Topology.t ->
@@ -59,8 +58,8 @@ val create :
     0.01).  [transport] defaults to [Raw] (the fault-free simulator
     needs no protocol; the knob exists for ablation); under
     [Reliable], [rto_ms] is the initial retransmission timeout
-    (default 40.0, doubling per retry up to 32x) and [max_retries]
-    bounds retransmissions per message (default 30) so a permanently
+    (default 40.0, doubling per retry up to 32x); after 30
+    retransmissions a message is abandoned, so a permanently
     unreachable destination cannot keep the run alive forever.
 
     [flush_ms] and [ack_delay_ms] (defaults 0.0) are the two
@@ -80,7 +79,8 @@ val create :
     codec.  The wire never changes what is delivered, only how it is
     charged/carried: same-seed runs reach the same Σ fingerprints
     under every wire.
-    @raise Invalid_argument on negative knob values. *)
+    @raise Invalid_argument on negative knob values or a
+    non-positive [rto_ms]. *)
 
 val transport : t -> transport
 val wire : t -> wire
@@ -226,7 +226,7 @@ val availability : t -> from:Peer_id.t -> Peer_id.t -> bool
 type reliability_counters = {
   retransmits : int;
   dup_suppressed : int;
-  abandoned : int;  (** messages given up after [max_retries] *)
+  abandoned : int;  (** messages given up after 30 retransmissions *)
   acks_sent : int;
   batches_sent : int;  (** frames shipped, re-ships included *)
   batched_messages : int;

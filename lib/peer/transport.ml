@@ -54,7 +54,6 @@ type t = {
   sim : Message.t Sim.t;
   transmit : src:Peer_id.t -> dst:Peer_id.t -> Message.t -> unit;
   rto_ms : float;
-  max_retries : int;
   flush_ms : float;
   ack_delay_ms : float;
   conns : (int, conn) Hashtbl.t;  (* packed (a, b) dense-index pair *)
@@ -69,12 +68,11 @@ type t = {
   mutable dedup_shared_bytes : int;
 }
 
-let create ~sim ~transmit ~rto_ms ~max_retries ~flush_ms ~ack_delay_ms =
+let create ~sim ~transmit ~rto_ms ~flush_ms ~ack_delay_ms =
   {
     sim;
     transmit;
     rto_ms;
-    max_retries;
     flush_ms;
     ack_delay_ms;
     conns = Hashtbl.create 64;
@@ -147,6 +145,10 @@ let cum_ack c = c.next_expected - 1
    min(rto * 2^n, rto * 32). *)
 let retry_delay t attempt = t.rto_ms *. (2.0 ** float_of_int (min attempt 5))
 
+(* Retransmissions before an unacked window is abandoned: bounds how
+   long a permanently unreachable destination keeps a run alive. *)
+let max_retries = 30
+
 (* --- sender ------------------------------------------------------- *)
 
 type timer = Flush | Rto | Delayed_ack
@@ -212,7 +214,7 @@ and on_timer t c = function
           c.queue <- [];
           ship t c fresh)
   | Rto when c.unacked = [] -> ()
-  | Rto when c.attempt >= t.max_retries ->
+  | Rto when c.attempt >= max_retries ->
       let n = List.length c.unacked in
       c.unacked <- [];
       c.attempt <- 0;
@@ -228,7 +230,7 @@ and on_timer t c = function
           "abandoned";
       Log.warn (fun m ->
           m "peer %a: abandoning %d message(s) to %a after %d retries"
-            Peer_id.pp c.src n Peer_id.pp c.dst t.max_retries)
+            Peer_id.pp c.src n Peer_id.pp c.dst max_retries)
   | Rto ->
       c.attempt <- c.attempt + 1;
       t.retransmits <- t.retransmits + 1;

@@ -32,13 +32,12 @@ val create :
   sim:Message.t Axml_net.Sim.t ->
   transmit:(src:Peer_id.t -> dst:Peer_id.t -> Message.t -> unit) ->
   rto_ms:float ->
-  max_retries:int ->
   flush_ms:float ->
   ack_delay_ms:float ->
   t
 (** [transmit] puts one physical frame on the network.  [rto_ms] is
     the initial retransmission timeout, doubling per retry up to 32x;
-    after [max_retries] retransmissions the window is abandoned. *)
+    after 30 retransmissions the window is abandoned. *)
 
 val send :
   t ->
@@ -73,7 +72,7 @@ val on_restart : t -> Peer_id.t -> unit
 type counters = {
   retransmits : int;
   dup_suppressed : int;
-  abandoned : int;  (** messages given up after [max_retries] *)
+  abandoned : int;  (** messages given up after 30 retransmissions *)
   acks_sent : int;
   batches_sent : int;  (** frames shipped, re-ships included *)
   batched_messages : int;

@@ -9,8 +9,7 @@
      [Error], never an exception;
 
    - laziness: receiving and re-encoding a frame parses no forest blob
-     ([Message.payload_decodes] stays flat), and the {!Codec.Relay}
-     slicer re-batches whole frames with zero payload decodes;
+     ([Message.payload_decodes] stays flat);
 
    - the system: chaos replays and the flash-crowd scenario reach the
      same canonical results and Σ fingerprint under the XML, binary
@@ -303,7 +302,7 @@ let frame_bytes_prop =
       predicted = Bytes.length (Codec.encode m))
 
 (* Sizing a *received* (still lazy) message must also be exact: the
-   relay path re-charges undecoded frames on retransmission. *)
+   transport re-charges undecoded frames on retransmission. *)
 let lazy_frame_bytes_prop =
   prop "frame_bytes is exact on lazily decoded messages" (fun seed ->
       let m = rand_message seed in
@@ -408,62 +407,6 @@ let test_lazy_decode_counts () =
         (Xml.Forest.equal_shape f
            [ parse ~g "<a><b>payload</b><c k=\"v\"/></a>" ])
   | _ -> Alcotest.fail "expected a stream")
-
-let test_relay_zero_parse () =
-  let g = gen () in
-  let xml = "<pkg name=\"alpha\"><blob>xxxxxxxxxx</blob></pkg>" in
-  let msgs =
-    [
-      stream_with ~g xml ~seq:1;
-      stream_with ~g xml ~seq:2;
-      (* structural duplicate -> Shared *)
-      stream_with ~g "<other/>" ~seq:3;
-    ]
-  in
-  let batch = Message.make (Message.batch ~ack:5 msgs) in
-  let frame = Codec.encode batch in
-  let d0 = Message.payload_decodes () in
-  let ack, items =
-    match Codec.Relay.parse_batch frame with
-    | Ok v -> v
-    | Error e -> Alcotest.failf "parse_batch: %a" Codec.pp_error e
-  in
-  Alcotest.(check int) "cumulative ack recovered" 5 ack;
-  Alcotest.(check (list int)) "item sequence numbers" [ 1; 2; 3 ]
-    (List.map Codec.Relay.item_seq items);
-  Alcotest.(check (list bool)) "dedup shape visible to the relay"
-    [ false; true; false ]
-    (List.map Codec.Relay.is_shared items);
-  Alcotest.(check int) "back-reference target" 1
-    (Codec.Relay.item_of_seq (List.nth items 1));
-  (* Re-batch everything under a new ack: pure slicing. *)
-  let reframed = Codec.Relay.rebatch ~ack:9 items in
-  Alcotest.(check int) "relaying decoded zero payloads" d0
-    (Message.payload_decodes ());
-  (match Codec.decode_strict reframed with
-  | Ok m -> (
-      match m.Message.payload with
-      | Message.Batch { items = its; ack } ->
-          Alcotest.(check int) "new ack" 9 ack;
-          Alcotest.(check bool) "items survive re-framing" true
-            (List.for_all2 item_equal
-               (match batch.Message.payload with
-               | Message.Batch b -> b.items
-               | _ -> assert false)
-               its)
-      | _ -> Alcotest.fail "expected a batch")
-  | Error e -> Alcotest.failf "re-batched frame invalid: %a" Codec.pp_error e);
-  (* Dropping a non-referent item keeps the frame decodable; the
-     slicing itself still parses nothing (the decode_strict checks
-     above forced forests, so checkpoint the counter afresh). *)
-  let dropped = [ List.nth items 0; List.nth items 1 ] in
-  let d1 = Message.payload_decodes () in
-  let subset = Codec.Relay.rebatch ~ack:9 dropped in
-  Alcotest.(check int) "subset relaying still parses nothing" d1
-    (Message.payload_decodes ());
-  match Codec.decode_strict subset with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "subset re-batch invalid: %a" Codec.pp_error e
 
 (* --- the system under the binary wire ------------------------------ *)
 
@@ -572,7 +515,6 @@ let suite =
     ("garbage frames rejected", `Quick, test_garbage_rejected);
     ("lazy decode: first touch pays, transport never does", `Quick,
      test_lazy_decode_counts);
-    ("relay re-batches with zero payload decodes", `Quick, test_relay_zero_parse);
     ("chaos replay: wires agree on results and Σ", `Quick, test_chaos_cross_wire);
     ("flash crowd: wires agree, binary is smaller", `Quick,
      test_flash_crowd_cross_wire);

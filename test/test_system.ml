@@ -192,8 +192,27 @@ let test_unknown_service_degrades () =
         (List.length (Xml.Tree.children (Doc.Document.root doc)))
   | None -> Alcotest.fail "doc lost"
 
+(* The create contract: a knob out of range is rejected up front, not
+   discovered mid-run (a negative rto or cpu price raises from the
+   simulator; rto 0 re-ships every frame at once until abandoned). *)
+let test_create_rejects_bad_knobs () =
+  let topo = mesh [ "p1"; "p2" ] in
+  let rejects label create =
+    match create () with
+    | (_ : System.t) -> Alcotest.failf "%s accepted" label
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "rto_ms 0" (fun () -> System.create ~rto_ms:0.0 topo);
+  rejects "rto_ms < 0" (fun () -> System.create ~rto_ms:(-1.0) topo);
+  rejects "cpu_ms_per_kb < 0" (fun () -> System.create ~cpu_ms_per_kb:(-1.0) topo);
+  rejects "response_delay_ms < 0" (fun () ->
+      System.create ~response_delay_ms:(-1.0) topo);
+  rejects "flush_ms < 0" (fun () -> System.create ~flush_ms:(-1.0) topo);
+  rejects "ack_delay_ms < 0" (fun () -> System.create ~ack_delay_ms:(-1.0) topo)
+
 let suite =
   [
+    ("create rejects out-of-range knobs", `Quick, test_create_rejects_bad_knobs);
     ("activation: default forwarding", `Quick, test_activate_call_default_forward);
     ("activation: explicit forward list", `Quick, test_activate_call_explicit_forward);
     ("activation: generic provider", `Quick, test_activate_generic_provider);

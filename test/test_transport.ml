@@ -35,7 +35,7 @@ let endpoints_case (seed, ki, crash_at, outage, n) =
     Transport.create ~sim
       ~transmit:(fun ~src ~dst m ->
         Sim.send sim ~src ~dst ~bytes:(Message.bytes m.Message.payload) m)
-      ~rto_ms:40.0 ~max_retries:30 ~flush_ms ~ack_delay_ms
+      ~rto_ms:40.0 ~flush_ms ~ack_delay_ms
   in
   let sent = Hashtbl.create 2 and got = Hashtbl.create 2 in
   let log tbl src key =
