@@ -926,11 +926,11 @@ let e14 () =
 (* --- E15: the unified planner ------------------------------------ *)
 
 let e15 () =
-  section "E15 Planner: fingerprint memo and search strategies";
+  section "E15 Planner: interned plan search and search strategies";
   Printf.printf
-    "part A — the visited set: exhaustive(2) through the fingerprint-\n\
-     bucketed memo, which pays for structural Expr.equal only on\n\
-     hash-bucket collisions.\n\n";
+    "part A — the visited set: exhaustive(2) over hash-consed plan\n\
+     nodes; the Expr.equal column counts the node-local comparisons\n\
+     interning makes (one per rewritten-path node it has met before).\n\n";
   let q = Workload.Xml_gen.selection_query () in
   let join =
     Query.Parser.parse_exn
@@ -1051,8 +1051,8 @@ let e15 () =
       ]
     rows;
   Printf.printf
-    "\nshape: the memo explores the identical plan set for a fraction of the\n\
-     structural comparisons; best-first reaches the exhaustive optimum\n\
+    "\nshape: interning explores the identical plan set for a fraction of\n\
+     the structural comparisons; best-first reaches the exhaustive optimum\n\
      with a fraction of the expansions; the executed planned plan ships\n\
      a fraction of the naive bytes\n"
 

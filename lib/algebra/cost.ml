@@ -91,42 +91,52 @@ let cpu env ~peer ~bytes =
 let site_peer ~ctx expr =
   match Expr.site expr with Names.At p -> p | Names.Any -> ctx
 
-let query_text_bytes q = String.length (Axml_query.Ast.to_string q)
+type recursion = {
+  child : ctx:Peer_id.t -> Expr.t -> t;
+  plan_bytes : Expr.t -> int;
+  query_text : Axml_query.Ast.t -> string;
+}
 
-(* Resolve the query of an application: its textual size, the peer
-   where the value initially lives, and its AST when visible. *)
-let rec query_info env = function
-  | Expr.Q_val { q; at } -> (query_text_bytes q, at, Some q)
-  | Expr.Q_service r ->
-      let q = env.service_query r in
-      let bytes = match q with Some q -> query_text_bytes q | None -> 256 in
-      let at =
-        match r.Names.Service_ref.at with
-        | Names.At p -> Some p
-        | Names.Any -> None
+(* Resolve the query of an application at [at]: its textual size, the
+   peer where the value initially lives, and its AST when visible. *)
+let rec query_info env sub ~at = function
+  | Expr.Q_val { q; at } -> (String.length (sub.query_text q), at, Some q)
+  | Expr.Q_service s ->
+      let q = env.service_query s in
+      let bytes =
+        match q with Some q -> String.length (sub.query_text q) | None -> 256
       in
-      (bytes, Option.value ~default:(Peer_id.of_string "unknown") at, q)
+      let home =
+        match s.Names.Service_ref.at with
+        | Names.At p -> p
+        | Names.Any ->
+            (* Unresolved generic service: the applying peer resolves
+               it (Exec.resolve_query), so charge the query as local,
+               as an sc at any is. *)
+            at
+      in
+      (bytes, home, q)
   | Expr.Q_send { dest; q } ->
-      let _, _, ast = query_info env q in
+      let _, _, ast = query_info env sub ~at q in
       (match ast with
-      | Some ast -> (query_text_bytes ast, dest, Some ast)
+      | Some ast -> (String.length (sub.query_text ast), dest, Some ast)
       | None -> (256, dest, None))
 
-let rec of_expr env ~ctx expr =
+let step env sub ~ctx expr =
   match expr with
   | Expr.Data_at { forest; _ } ->
       { zero with result_bytes = Axml_xml.Forest.byte_size forest }
   | Expr.Doc r -> { zero with result_bytes = env.doc_bytes r }
   | Expr.Query_app { query; args; at } ->
       (* Ship the query value to [at] if it lives elsewhere. *)
-      let q_bytes, q_at, q_ast = query_info env query in
+      let q_bytes, q_at, q_ast = query_info env sub ~at query in
       let q_cost = transfer env ~src:q_at ~dst:at ~bytes:q_bytes in
       (* Arguments evaluate in parallel, each followed by its shipping
          to [at]. *)
       let arg_cost =
         List.fold_left
           (fun acc arg ->
-            let c = of_expr env ~ctx:at arg in
+            let c = sub.child ~ctx:at arg in
             let src = site_peer ~ctx:at arg in
             let shipped =
               seq c (transfer env ~src ~dst:at ~bytes:c.result_bytes)
@@ -218,7 +228,7 @@ let rec of_expr env ~ctx expr =
             result_bytes = out_bytes;
           })
   | Expr.Send { dest; expr } -> (
-      let inner = of_expr env ~ctx expr in
+      let inner = sub.child ~ctx expr in
       let src = site_peer ~ctx expr in
       match dest with
       | Expr.To_peer p ->
@@ -239,16 +249,26 @@ let rec of_expr env ~ctx expr =
           { (seq inner deliver) with result_bytes = 0 })
   | Expr.Eval_at { at; expr } ->
       (* Ship the plan itself to the delegate, then evaluate there. *)
-      let plan_bytes = Expr_xml.byte_size expr in
-      let ship_plan = transfer env ~src:ctx ~dst:at ~bytes:plan_bytes in
-      seq ship_plan (of_expr env ~ctx:at expr)
+      let ship_plan =
+        transfer env ~src:ctx ~dst:at ~bytes:(sub.plan_bytes expr)
+      in
+      seq ship_plan (sub.child ~ctx:at expr)
   | Expr.Shared { at; value; body; _ } ->
       (* Materialization sequences value before body — rule (13)'s
          parallelism loss shows up as added latency here. *)
-      let value_cost = of_expr env ~ctx value in
+      let value_cost = sub.child ~ctx value in
       let src = site_peer ~ctx value in
       let install =
         transfer env ~src ~dst:at ~bytes:value_cost.result_bytes
       in
-      let body_cost = of_expr env ~ctx body in
+      let body_cost = sub.child ~ctx body in
       seq (seq value_cost install) body_cost
+
+let rec of_expr env ~ctx expr =
+  step env
+    {
+      child = of_expr env;
+      plan_bytes = Expr_xml.byte_size;
+      query_text = Axml_query.Ast.to_string;
+    }
+    ~ctx expr

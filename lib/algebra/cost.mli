@@ -68,3 +68,21 @@ val weighted : ?bytes_weight:float -> ?latency_weight:float -> t -> float
 val of_expr : env -> ctx:Axml_net.Peer_id.t -> Expr.t -> t
 (** Estimate the cost of evaluating the expression driven from peer
     [ctx] (the peer issuing eval\@ctx(e)). *)
+
+(** What one node's estimate needs from the rest of the plan. *)
+type recursion = {
+  child : ctx:Axml_net.Peer_id.t -> Expr.t -> t;
+      (** Cost of a direct child, driven from the given peer. *)
+  plan_bytes : Expr.t -> int;
+      (** {!Expr_xml.byte_size} of a direct child (the plan an
+          [Eval_at] ships). *)
+  query_text : Axml_query.Ast.t -> string;
+      (** {!Axml_query.Ast.to_string}: a query ships as its text. *)
+}
+
+val step : env -> recursion -> ctx:Axml_net.Peer_id.t -> Expr.t -> t
+(** One node of {!of_expr}, its children reached through [sub]:
+    [of_expr env ~ctx e] is [step env sub ~ctx e] with [sub] recursing
+    through [of_expr] itself.  Plan search passes memoized
+    children instead, so a rewrite pays only for the nodes it
+    changed. *)

@@ -161,32 +161,35 @@ let rec peers_acc acc = function
 
 let peers e = peers_acc [] e
 
-let rec equal_expr a b =
+(* The node-local half of structural equality: the constructor and
+   every field that is not a child expression.  Embedded values are
+   compared physically first — plan search meets the same forest, sc
+   and query in many plans. *)
+let rec local_equal a b =
   match (a, b) with
   | Data_at x, Data_at y ->
       (* Canonical comparison: node identifiers, sibling order and text
          segmentation are wire artefacts, not plan structure. *)
       Peer_id.equal x.at y.at
-      && Axml_xml.Canonical.equal_forest x.forest y.forest
+      && (x.forest == y.forest
+         || Axml_xml.Canonical.equal_forest x.forest y.forest)
   | Doc x, Doc y -> Names.Doc_ref.equal x y
   | Query_app x, Query_app y ->
-      Peer_id.equal x.at y.at
-      && query_equal x.query y.query
-      && List.equal equal_expr x.args y.args
-  | Sc x, Sc y -> Peer_id.equal x.at y.at && Axml_doc.Sc.equal x.sc y.sc
-  | Send x, Send y -> dest_equal x.dest y.dest && equal_expr x.expr y.expr
-  | Eval_at x, Eval_at y -> Peer_id.equal x.at y.at && equal_expr x.expr y.expr
+      Peer_id.equal x.at y.at && query_equal x.query y.query
+  | Sc x, Sc y ->
+      Peer_id.equal x.at y.at && (x.sc == y.sc || Axml_doc.Sc.equal x.sc y.sc)
+  | Send x, Send y -> dest_equal x.dest y.dest
+  | Eval_at x, Eval_at y -> Peer_id.equal x.at y.at
   | Shared x, Shared y ->
-      Names.Doc_name.equal x.name y.name
-      && Peer_id.equal x.at y.at
-      && equal_expr x.value y.value && equal_expr x.body y.body
+      Names.Doc_name.equal x.name y.name && Peer_id.equal x.at y.at
   | (Data_at _ | Doc _ | Query_app _ | Sc _ | Send _ | Eval_at _ | Shared _), _
     ->
       false
 
 and query_equal a b =
   match (a, b) with
-  | Q_val x, Q_val y -> Peer_id.equal x.at y.at && Axml_query.Ast.equal x.q y.q
+  | Q_val x, Q_val y ->
+      Peer_id.equal x.at y.at && (x.q == y.q || Axml_query.Ast.equal x.q y.q)
   | Q_service x, Q_service y -> Names.Service_ref.equal x y
   | Q_send x, Q_send y -> Peer_id.equal x.dest y.dest && query_equal x.q y.q
   | (Q_val _ | Q_service _ | Q_send _), _ -> false
@@ -199,14 +202,23 @@ and dest_equal a b =
       Names.Doc_name.equal n1 n2 && Peer_id.equal p1 p2
   | (To_peer _ | To_nodes _ | To_doc _), _ -> false
 
-(* Full structural comparisons are the inner loop of plan search; the
-   counter lets the planner benchmarks report how many a strategy
-   actually paid for. *)
+let rec equal_expr a b =
+  local_equal a b
+  && List.equal equal_expr (subexpressions a) (subexpressions b)
+
+(* Structural comparisons are the inner loop of plan search; the
+   counter lets the planner benchmarks report how many a search
+   actually paid for — whole-plan [equal]s and the search's node-local
+   [equal_local]s alike. *)
 let equal_counter = ref 0
 
 let equal a b =
   incr equal_counter;
   equal_expr a b
+
+let equal_local a b =
+  incr equal_counter;
+  local_equal a b
 
 let equal_calls () = !equal_counter
 
@@ -278,43 +290,30 @@ let hash_dest = function
   | To_doc (d, p) ->
       mix (mix 32 (hash_string (Names.Doc_name.to_string d))) (Peer_id.hash p)
 
-let rec fingerprint e : Fingerprint.t =
-  match e with
+let local_hash = function
   | Data_at { forest; at } ->
-      { hash = mix (mix 1 (Peer_id.hash at)) (hash_forest forest);
-        size = 1;
-        depth = 1;
-      }
+      mix (mix 1 (Peer_id.hash at)) (hash_forest forest)
   | Doc r ->
-      {
-        hash =
-          mix
-            (mix 2 (hash_string (Names.Doc_name.to_string r.Names.Doc_ref.name)))
-            (hash_location r.Names.Doc_ref.at);
-        size = 1;
-        depth = 1;
-      }
-  | Sc { sc; at } ->
-      { hash = mix (hash_sc sc) (Peer_id.hash at); size = 1; depth = 1 }
-  | Query_app { query; args; at } ->
-      let h = mix (mix 3 (hash_query query)) (Peer_id.hash at) in
-      combine h args
-  | Send { dest; expr } -> combine (mix 4 (hash_dest dest)) [ expr ]
-  | Eval_at { at; expr } -> combine (mix 5 (Peer_id.hash at)) [ expr ]
-  | Shared { name; at; value; body } ->
-      let h =
-        mix (mix 7 (hash_string (Names.Doc_name.to_string name)))
-          (Peer_id.hash at)
-      in
-      combine h [ value; body ]
+      mix
+        (mix 2 (hash_string (Names.Doc_name.to_string r.Names.Doc_ref.name)))
+        (hash_location r.Names.Doc_ref.at)
+  | Sc { sc; at } -> mix (hash_sc sc) (Peer_id.hash at)
+  | Query_app { query; at; _ } ->
+      mix (mix 3 (hash_query query)) (Peer_id.hash at)
+  | Send { dest; _ } -> mix 4 (hash_dest dest)
+  | Eval_at { at; _ } -> mix 5 (Peer_id.hash at)
+  | Shared { name; at; _ } ->
+      mix
+        (mix 7 (hash_string (Names.Doc_name.to_string name)))
+        (Peer_id.hash at)
 
-and combine h children =
+let rec fingerprint e : Fingerprint.t =
   let h, size, depth =
     List.fold_left
       (fun (h, size, depth) child ->
         let f = fingerprint child in
         (mix h f.Fingerprint.hash, size + f.size, max depth f.depth))
-      (h, 1, 0) children
+      (local_hash e, 1, 0) (subexpressions e)
   in
   { hash = h; size; depth = depth + 1 }
 

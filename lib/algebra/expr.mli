@@ -118,20 +118,27 @@ val map_children : (t -> t) -> t -> t
     agreeing. *)
 
 val equal : t -> t -> bool
-(** Structural, modulo node identifiers inside embedded trees. *)
+(** Structural, modulo node identifiers inside embedded trees:
+    [equal a b] iff [equal_local a b] and their {!subexpressions} are
+    pairwise [equal]. *)
+
+val equal_local : t -> t -> bool
+(** The node-local half of {!equal}: same constructor and equal
+    fields, child expressions not compared.  Plan search interns nodes
+    by this and their children's identities. *)
 
 val equal_calls : unit -> int
-(** Number of {!equal} invocations since program start.  Structural
-    comparison is the inner loop of plan search; the planner
-    benchmarks difference this counter to report how many comparisons
-    a search strategy paid for. *)
+(** Number of {!equal} and {!equal_local} invocations since program
+    start.  Structural comparison is the inner loop of plan search;
+    the planner benchmarks difference this counter to report how many
+    comparisons a search paid for — whole-plan comparisons and the
+    search's per-node interning comparisons alike. *)
 
 (** {1 Fingerprints}
 
-    A cheap structural summary used by the optimizer's visited set:
-    candidate plans are bucketed by fingerprint, and the full
-    {!equal} runs only against same-fingerprint bucket members
-    (hash-collision fallback). *)
+    A cheap structural summary: the semantic result cache buckets
+    expressions by it, and the optimizer derives the auxiliary names
+    of rules (10) and (13) from it. *)
 
 module Fingerprint : sig
   type t = {
@@ -144,6 +151,11 @@ module Fingerprint : sig
   val compare : t -> t -> int
   val pp : Format.formatter -> t -> unit
 end
+
+val local_hash : t -> int
+(** Hash of the node-local fields {!equal_local} compares, children
+    excluded: [equal_local a b] implies [local_hash a = local_hash b].
+    The seed {!fingerprint} folds the children's hashes into. *)
 
 val fingerprint : t -> Fingerprint.t
 (** One bottom-up pass; [equal a b] implies

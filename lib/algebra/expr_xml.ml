@@ -20,54 +20,44 @@ let l_q_service = l "q-service"
 let l_q_send = l "q-send"
 let l_args = l "args"
 
+let at_attr p = [ ("at", Peer_id.to_string p) ]
+
+let dest_attrs = function
+  | Expr.To_peer p -> [ ("kind", "peer"); ("peer", Peer_id.to_string p) ]
+  | Expr.To_nodes targets ->
+      [
+        ("kind", "nodes");
+        ("nodes", String.concat ";" (List.map Names.Node_ref.to_string targets));
+      ]
+  | Expr.To_doc (d, p) ->
+      [
+        ("kind", "doc");
+        ("doc", Names.Doc_name.to_string d);
+        ("peer", Peer_id.to_string p);
+      ]
+
 let rec to_tree ~gen (e : Expr.t) =
   match e with
   | Expr.Data_at { forest; at } ->
-      Tree.element ~gen l_tree
-        ~attrs:[ ("at", Peer_id.to_string at) ]
+      Tree.element ~gen l_tree ~attrs:(at_attr at)
         (Axml_xml.Forest.copy ~gen forest)
   | Expr.Doc r ->
       Tree.element ~gen l_doc
         ~attrs:[ ("ref", Names.Doc_ref.to_string r) ]
         []
   | Expr.Query_app { query; args; at } ->
-      Tree.element ~gen l_apply
-        ~attrs:[ ("at", Peer_id.to_string at) ]
+      Tree.element ~gen l_apply ~attrs:(at_attr at)
         (query_to_tree ~gen query
         :: [ Tree.element ~gen l_args (List.map (to_tree ~gen) args) ])
   | Expr.Sc { sc; at } ->
-      Tree.element ~gen l_sc
-        ~attrs:[ ("at", Peer_id.to_string at) ]
-        [ Axml_doc.Sc.to_tree ~gen sc ]
+      Tree.element ~gen l_sc ~attrs:(at_attr at) [ Axml_doc.Sc.to_tree ~gen sc ]
   | Expr.Send { dest; expr } ->
-      let dest_attrs =
-        match dest with
-        | Expr.To_peer p -> [ ("kind", "peer"); ("peer", Peer_id.to_string p) ]
-        | Expr.To_nodes targets ->
-            [
-              ("kind", "nodes");
-              ( "nodes",
-                String.concat ";"
-                  (List.map Names.Node_ref.to_string targets) );
-            ]
-        | Expr.To_doc (d, p) ->
-            [
-              ("kind", "doc");
-              ("doc", Names.Doc_name.to_string d);
-              ("peer", Peer_id.to_string p);
-            ]
-      in
-      Tree.element ~gen l_send ~attrs:dest_attrs [ to_tree ~gen expr ]
+      Tree.element ~gen l_send ~attrs:(dest_attrs dest) [ to_tree ~gen expr ]
   | Expr.Eval_at { at; expr } ->
-      Tree.element ~gen l_eval
-        ~attrs:[ ("at", Peer_id.to_string at) ]
-        [ to_tree ~gen expr ]
+      Tree.element ~gen l_eval ~attrs:(at_attr at) [ to_tree ~gen expr ]
   | Expr.Shared { name; at; value; body } ->
       Tree.element ~gen l_shared
-        ~attrs:
-          [ ("name", Names.Doc_name.to_string name);
-            ("at", Peer_id.to_string at);
-          ]
+        ~attrs:(("name", Names.Doc_name.to_string name) :: at_attr at)
         [
           Tree.element ~gen l_value [ to_tree ~gen value ];
           Tree.element ~gen l_body [ to_tree ~gen body ];
@@ -76,8 +66,7 @@ let rec to_tree ~gen (e : Expr.t) =
 and query_to_tree ~gen (q : Expr.query_expr) =
   match q with
   | Expr.Q_val { q; at } ->
-      Tree.element ~gen l_q_val
-        ~attrs:[ ("at", Peer_id.to_string at) ]
+      Tree.element ~gen l_q_val ~attrs:(at_attr at)
         [ Tree.text (Axml_query.Ast.to_string q) ]
   | Expr.Q_service r ->
       Tree.element ~gen l_q_service
@@ -255,9 +244,64 @@ let of_xml_string s =
   | Error e -> Error (Format.asprintf "%a" Axml_xml.Parser.pp_error e)
   | Ok t -> of_tree t
 
-(* Counts the serialized size without materializing the XML string;
-   the tree is still built (cheap — one node per syntactic form) but
-   the O(output) string is not. *)
-let byte_size e =
-  let gen = Axml_xml.Node_id.Gen.create ~namespace:"expr" in
-  Axml_xml.Serializer.serialized_length (to_tree ~gen e)
+(* {2 Serialized size, one node at a time}
+
+   Mirrors [to_tree] composed with [Serializer.serialized_length]
+   (self-closing rule included) without building either; a property in
+   test/test_algebra.ml pins [byte_size e = String.length
+   (to_xml_string e)]. *)
+
+(* An element whose content serializes to [content] bytes.  Content
+   serializes to nothing only when it is empty or all empty text, which
+   is exactly when the writer self-closes. *)
+let element_size label attrs content =
+  let name = String.length (Label.to_string label) in
+  let attrs =
+    List.fold_left
+      (fun acc (k, v) ->
+        acc + String.length k
+        + String.length (Axml_xml.Serializer.escape_attr v)
+        + 4)
+      0 attrs
+  in
+  if content = 0 then 1 + name + attrs + 2
+  else 1 + name + attrs + 1 + content + 2 + name + 1
+
+let rec query_size ~query_text (q : Expr.query_expr) =
+  match q with
+  | Expr.Q_val { q; at } ->
+      element_size l_q_val (at_attr at)
+        (Axml_xml.Serializer.serialized_length (Tree.text (query_text q)))
+  | Expr.Q_service r ->
+      element_size l_q_service [ ("ref", Names.Service_ref.to_string r) ] 0
+  | Expr.Q_send { dest; q } ->
+      element_size l_q_send
+        [ ("peer", Peer_id.to_string dest) ]
+        (query_size ~query_text q)
+
+let node_size ~child ~query_text (e : Expr.t) =
+  match e with
+  | Expr.Data_at { forest; at } ->
+      element_size l_tree (at_attr at)
+        (Axml_xml.Serializer.forest_serialized_length forest)
+  | Expr.Doc r -> element_size l_doc [ ("ref", Names.Doc_ref.to_string r) ] 0
+  | Expr.Query_app { query; args; at } ->
+      element_size l_apply (at_attr at)
+        (query_size ~query_text query
+        + element_size l_args []
+            (List.fold_left (fun acc a -> acc + child a) 0 args))
+  | Expr.Sc { sc; at } ->
+      let gen = Axml_xml.Node_id.Gen.create ~namespace:"expr" in
+      element_size l_sc (at_attr at)
+        (Axml_xml.Serializer.serialized_length (Axml_doc.Sc.to_tree ~gen sc))
+  | Expr.Send { dest; expr } ->
+      element_size l_send (dest_attrs dest) (child expr)
+  | Expr.Eval_at { at; expr } -> element_size l_eval (at_attr at) (child expr)
+  | Expr.Shared { name; at; value; body } ->
+      element_size l_shared
+        (("name", Names.Doc_name.to_string name) :: at_attr at)
+        (element_size l_value [] (child value)
+        + element_size l_body [] (child body))
+
+let rec byte_size e =
+  node_size ~child:byte_size ~query_text:Axml_query.Ast.to_string e

@@ -19,5 +19,17 @@ val to_xml_string : Expr.t -> string
 val of_xml_string : string -> (Expr.t, string) result
 
 val byte_size : Expr.t -> int
-(** Size of the serialized form — the shipping cost of the plan
-    itself. *)
+(** [String.length (to_xml_string e)], computed without serializing —
+    the shipping cost of the plan itself. *)
+
+val node_size :
+  child:(Expr.t -> int) ->
+  query_text:(Axml_query.Ast.t -> string) ->
+  Expr.t ->
+  int
+(** One node of {!byte_size}: the serialized size of [e], given the
+    size of each direct child ([child]) and the text an embedded
+    query serializes as ([query_text], {!Axml_query.Ast.to_string}).
+    [byte_size e = node_size ~child:byte_size
+    ~query_text:Axml_query.Ast.to_string e]; plan search passes
+    memoized children instead. *)

@@ -11,9 +11,19 @@
       to a depth bound; optimal within the bound, exponential in it —
       the oracle tests and benchmarks compare against.
 
-    Both deduplicate plans through a fingerprint-bucketed visited set
-    ({!Expr.fingerprint}): the full structural {!Expr.equal} runs only
-    on hash collisions. *)
+    Both hash-cons the plans they meet.  Within one search every node
+    of every candidate is interned into a canonical node, keyed by its
+    node-local hash ({!Expr.local_hash}) and its children's canonical
+    ids and compared by {!Expr.equal_local}, so two subtrees share a
+    canonical node iff they are {!Expr.equal}.  A canonical node
+    carries its {!Cost.t} per driving peer and its serialized size,
+    each computed once per search by {!Cost.step} and
+    {!Expr_xml.node_size}; query texts are computed once per AST.  A
+    rewrite changes one position of its parent plan, so a candidate
+    pays only for the nodes on the rewritten path.  The visited set is
+    a set of interned plan-root ids.  Plans, costs, counts and traces
+    are those of costing every candidate from scratch
+    ([test/test_planner.ml] keeps that search as the oracle). *)
 
 type strategy =
   | Exhaustive of { depth : int }

@@ -125,6 +125,22 @@ let test_byte_size_positive () =
       Alcotest.(check bool) "positive" true (Algebra.Expr_xml.byte_size e > 0))
     (sample_exprs ())
 
+(* The sizer mirrors the serializer one node at a time; the plans of a
+   depth-2 rewrite closure exercise every constructor the rules build
+   (delegations, relays, shared materializations, shipped queries). *)
+let test_byte_size_exact () =
+  let check e =
+    Alcotest.(check int)
+      (Expr.to_string e)
+      (String.length (Algebra.Expr_xml.to_xml_string e))
+      (Algebra.Expr_xml.byte_size e)
+  in
+  List.iter check (sample_exprs ());
+  List.iter
+    (fun (_, plan) ->
+      List.iter check (Test_planner.rewrite_closure ~depth:2 plan))
+    Test_planner.e15_fixtures
+
 (* Cost model sanity. *)
 
 let topo = mesh ~latency:10.0 ~bandwidth:100.0 [ "p1"; "p2"; "p3" ]
@@ -201,4 +217,5 @@ let suite =
     ("cost: pushed selection cheaper", `Quick, test_cost_push_selection_cheaper);
     ("cost: dominance and weighting", `Quick, test_cost_dominates_weighted);
     ("cost: rule 13 sharing", `Quick, test_cost_shared_adds_latency_saves_bytes);
+    ("serialized sizes exact", `Quick, test_byte_size_exact);
   ]

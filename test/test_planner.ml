@@ -1,7 +1,8 @@
-(* The unified planner: fingerprint soundness, the fingerprint memo
-   against a linear-scan closure oracle, cross-strategy agreement,
-   reproducibility, and the planner's two-layer (rewrite search +
-   per-site query optimization) pipeline. *)
+(* The unified planner: fingerprint soundness, the interned search
+   against a linear-scan closure oracle and against the reference
+   search (every candidate costed from scratch), cross-strategy
+   agreement, reproducibility, and the planner's two-layer (rewrite
+   search + per-site query optimization) pipeline. *)
 
 open Axml
 open Helpers
@@ -31,6 +32,24 @@ let fixtures =
         ~args:[ Expr.doc "cat" ~at:"p2"; Expr.doc "cat" ~at:"p2" ] );
     ( "join-2-peers",
       Expr.query_at join_query ~at:p1
+        ~args:[ Expr.doc "cat" ~at:"p2"; Expr.doc "cat" ~at:"p3" ] );
+  ]
+
+(* The E15 fixtures (bench/experiments.ml): its self-join reads one
+   fetched copy twice, so rule (13) has a transfer to share. *)
+let e15_fixtures =
+  let join =
+    query
+      {|query(2) for $x in $0//item, $y in $1//item
+        where attr($x, "category") = "wanted" and attr($y, "category") = "wanted"
+        return <pair/>|}
+  in
+  let fetch = Expr.send_to_peer p1 (Expr.doc "cat" ~at:"p2") in
+  [
+    ("select", Expr.query_at sel_query ~at:p1 ~args:[ Expr.doc "cat" ~at:"p2" ]);
+    ("self-join", Expr.query_at join ~at:p1 ~args:[ fetch; fetch ]);
+    ( "join-2-peers",
+      Expr.query_at join ~at:p1
         ~args:[ Expr.doc "cat" ~at:"p2"; Expr.doc "cat" ~at:"p3" ] );
   ]
 
@@ -91,7 +110,7 @@ let fingerprint_prop =
        (QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 100_000))
        fingerprint_soundness)
 
-(* --- the fingerprint memo against a linear-scan oracle ------------ *)
+(* --- the interned search against a linear-scan oracle ------------- *)
 
 (* Auxiliary names as the optimizer mints them (Optimizer.fresh_for):
    derived from the rewritten plan's fingerprint, so the oracle below
@@ -105,6 +124,16 @@ let fresh_for parent =
 
 let expand e =
   Algebra.Rewrite.everywhere ~peers:all_peers ~fresh:(fresh_for e) e
+
+(* Every plan within [depth] rewrites of [plan], repeats included. *)
+let rec rewrite_closure ~depth plan =
+  if depth = 0 then [ plan ]
+  else
+    plan
+    :: List.concat_map
+         (fun (r : Algebra.Rewrite.rewrite) ->
+           rewrite_closure ~depth:(depth - 1) r.result)
+         (expand plan)
 
 (* The depth-bounded rewrite closure, deduplicated by a linear
    [Expr.equal] scan over every plan seen so far (the seed's O(n²)
@@ -135,7 +164,7 @@ let linear_closure ~depth plan =
   done;
   (List.length !seen, fst !best, snd !best)
 
-(* The fingerprint memo must be a pure speedup over the linear scan:
+(* Interning must be a pure speedup over the linear scan:
    same plan set, same best cost, strictly fewer structural
    comparisons. *)
 let test_fingerprint_memo_ablation () =
@@ -166,6 +195,155 @@ let test_fingerprint_memo_ablation () =
            list_calls)
         true (table_calls < list_calls))
     fixtures
+
+(* --- the interned search against the reference search ------------ *)
+
+(* The search as it ran before plan nodes were interned, kept as the
+   oracle: every candidate costed from scratch by [Cost.of_expr],
+   duplicates found by fingerprint bucket plus a full [Expr.equal].
+   Same expansion order, same plateau slack, same tie-breaking. *)
+let reference_search ~env ~ctx strategy expr : Optimizer.result =
+  let peers = Net.Topology.peers env.Algebra.Cost.topology in
+  let objective = Algebra.Cost.weighted in
+  let cost_of e = Algebra.Cost.of_expr env ~ctx e in
+  let seen = Hashtbl.create 64 in
+  let add e =
+    let fp = Expr.fingerprint e in
+    let bucket =
+      Option.value ~default:[] (Hashtbl.find_opt seen fp.Expr.Fingerprint.hash)
+    in
+    if
+      List.exists
+        (fun (fp', e') -> Expr.Fingerprint.equal fp fp' && Expr.equal e e')
+        bucket
+    then false
+    else begin
+      Hashtbl.replace seen fp.Expr.Fingerprint.hash ((fp, e) :: bucket);
+      true
+    end
+  in
+  let initial_cost = cost_of expr in
+  ignore (add expr);
+  let explored = ref 1 and expansions = ref 0 in
+  let expand e =
+    incr expansions;
+    Algebra.Rewrite.everywhere ~peers ~fresh:(fresh_for e) e
+  in
+  let best = ref (expr, initial_cost, []) in
+  let consider (r : Algebra.Rewrite.rewrite) rev_path k =
+    if add r.result then begin
+      incr explored;
+      let c = cost_of r.result in
+      let rev_path = { Optimizer.rule = r.rule; cost = c } :: rev_path in
+      let _, best_c, _ = !best in
+      if objective c < objective best_c then best := (r.result, c, rev_path);
+      k c rev_path
+    end
+  in
+  (match strategy with
+  | Optimizer.Exhaustive { depth } ->
+      let frontier = ref [ (expr, []) ] in
+      for _ = 1 to depth do
+        let next = ref [] in
+        List.iter
+          (fun (e, rev_path) ->
+            List.iter
+              (fun (r : Algebra.Rewrite.rewrite) ->
+                consider r rev_path (fun _ rev_path ->
+                    next := (r.result, rev_path) :: !next))
+              (expand e))
+          !frontier;
+        frontier := !next
+      done
+  | Optimizer.Best_first { max_expansions } ->
+      let plateau_limit = 4 in
+      let queue = Net.Pqueue.create () in
+      Net.Pqueue.push queue ~time:(objective initial_cost)
+        (expr, initial_cost, [], plateau_limit);
+      let continue = ref true in
+      while !continue && !expansions < max_expansions do
+        match Net.Pqueue.pop queue with
+        | None -> continue := false
+        | Some (_, (e, e_cost, rev_path, slack)) ->
+            List.iter
+              (fun (r : Algebra.Rewrite.rewrite) ->
+                consider r rev_path (fun c rev_path ->
+                    let slack =
+                      if objective c < objective e_cost then plateau_limit
+                      else slack - 1
+                    in
+                    if slack >= 0 then
+                      Net.Pqueue.push queue ~time:(objective c)
+                        (r.result, c, rev_path, slack)))
+              (expand e)
+      done);
+  let plan, cost, rev_path = !best in
+  {
+    plan;
+    cost;
+    initial_cost;
+    explored = !explored;
+    expansions = !expansions;
+    trace = List.rev rev_path;
+  }
+
+(* Bit-for-bit: the interned search must not perturb a single float. *)
+let same_cost (a : Algebra.Cost.t) (b : Algebra.Cost.t) =
+  a.bytes = b.bytes && a.messages = b.messages
+  && Int64.equal
+       (Int64.bits_of_float a.latency_ms)
+       (Int64.bits_of_float b.latency_ms)
+  && a.result_bytes = b.result_bytes
+
+let matches_reference ~env strategy plan =
+  let got = Optimizer.optimize ~env ~ctx:p1 strategy plan in
+  let want = reference_search ~env ~ctx:p1 strategy plan in
+  Expr.equal got.plan want.plan
+  && same_cost got.cost want.cost
+  && same_cost got.initial_cost want.initial_cost
+  && got.explored = want.explored
+  && got.expansions = want.expansions
+  && List.equal
+       (fun (a : Optimizer.step) (b : Optimizer.step) ->
+         String.equal a.rule b.rule && same_cost a.cost b.cost)
+       got.trace want.trace
+
+let oracle_strategies =
+  [
+    Optimizer.Exhaustive { depth = 2 };
+    Optimizer.Best_first { max_expansions = 8 };
+    Optimizer.Best_first { max_expansions = 32 };
+  ]
+
+let test_reference_fixtures () =
+  List.iter
+    (fun (name, plan) ->
+      List.iter
+        (fun strategy ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %s: same plan, cost, counts and trace" name
+               (Optimizer.strategy_name strategy))
+            true
+            (matches_reference ~env strategy plan))
+        oracle_strategies)
+    (e15_fixtures @ fixtures)
+
+(* The rules-preservation plan family, costed against its live system
+   (document statistics, a declarative service): the stats-based
+   output estimates and service lookups go through the memo too. *)
+let reference_random seed =
+  let rng = Workload.Rng.create ~seed in
+  let plan = Test_rules_random.random_plan rng in
+  let env = Runtime.System.cost_env (Test_rules_random.build_system seed) in
+  List.for_all (fun strategy -> matches_reference ~env strategy plan)
+    oracle_strategies
+
+let reference_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:25
+       ~name:"interned search = reference search (random plans)"
+       (QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 100_000))
+       reference_random)
 
 (* --- cross-strategy agreement ------------------------------------ *)
 
@@ -353,6 +531,40 @@ let test_planner_execution_correct () =
     (Algebra.Cost.weighted planned.Planner.cost
     < Algebra.Cost.weighted planned.Planner.search.Optimizer.initial_cost)
 
+(* Regression: a query applied through an unresolved generic service
+   (svc\@any) lives nowhere yet.  Costing it used to look up a link to
+   a pseudo-peer and raise [Not_found] out of [Cost.of_expr],
+   [Planner.plan] and [Exec.run_optimized]; the applying peer resolves
+   it, so it is charged as local there, like an sc at any. *)
+let test_generic_service_costs_locally () =
+  let topo2 = mesh ~latency:10.0 ~bandwidth:100.0 [ "p1"; "p2" ] in
+  let env2 = Algebra.Cost.default_env ~doc_bytes:(fun _ -> 60_000) topo2 in
+  let apply svc =
+    Expr.Query_app
+      { query = Expr.Q_service svc; args = [ Expr.doc "cat" ~at:"p2" ]; at = p1 }
+  in
+  let generic = apply (Doc.Names.Service_ref.any "wanted") in
+  let local = apply (Doc.Names.Service_ref.at_peer "wanted" ~peer:"p1") in
+  Alcotest.(check bool) "costed as if the applying peer held it" true
+    (same_cost
+       (Algebra.Cost.of_expr env2 ~ctx:p1 generic)
+       (Algebra.Cost.of_expr env2 ~ctx:p1 local));
+  let planned =
+    Planner.plan ~env:env2 ~ctx:p1
+      (Optimizer.Best_first { max_expansions = 8 })
+      generic
+  in
+  Alcotest.(check bool) "the planner searches it" true
+    (planned.search.Optimizer.explored >= 1);
+  let sys = Runtime.System.create topo2 in
+  let rng = Workload.Rng.create ~seed:3 in
+  Runtime.System.add_document sys p2 ~name:"cat"
+    (Workload.Xml_gen.catalog ~gen:(Runtime.System.gen_of sys p2) ~rng
+       ~items:20 ~selectivity:0.2 ());
+  let _, outcome = Runtime.Exec.run_optimized sys ~ctx:p1 generic in
+  Alcotest.(check bool) "run_optimized executes it" true
+    (outcome.Runtime.Exec.termination = `Quiescent)
+
 let suite =
   [
     ("fingerprints are node-id blind", `Quick, test_fingerprint_node_id_blind);
@@ -370,4 +582,9 @@ let suite =
     ("explain JSON escapes non-ASCII names", `Quick,
      test_explain_json_escapes_names);
     ("planned execution stays correct", `Quick, test_planner_execution_correct);
+    ("interned search = reference search (E15 fixtures)", `Quick,
+     test_reference_fixtures);
+    reference_prop;
+    ("svc@any is costed at the applying peer", `Quick,
+     test_generic_service_costs_locally);
   ]
