@@ -2450,8 +2450,8 @@ let e21 ?(smoke = false) () =
    batched Reliable transport (flush 2 ms, ack delay 8 ms): there every
    physical frame is sized on send and re-sized on every retransmission
    re-batch, so the wire's accounting cost is on the per-event path —
-   the XML model walks per-forest memo tables per charge, the binary
-   wire reads one cached frame-length integer.  Raw arms ride along as
+   the XML model sums the byte sizes its trees store, the binary wire
+   the blob lengths its roots keep.  Raw arms ride along as
    the floor where both wires charge once per message.  Two invariants
    gate the design:
    - the wire never changes answers: per tier and transport, the XML

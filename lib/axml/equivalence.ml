@@ -43,7 +43,7 @@ and normalize_children t =
   | Tree.Text _ -> t
   | Tree.Element e ->
       Canonical.canonicalize
-        (Tree.Element { e with children = List.map normalize e.children })
+        (Tree.rebuild ~children:(List.map normalize e.children) e)
 
 let fingerprint t = Canonical.fingerprint (normalize t)
 let equivalent a b = String.equal (fingerprint a) (fingerprint b)

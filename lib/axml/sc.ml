@@ -95,7 +95,7 @@ let of_element (e : Tree.element) =
     | None, None, _ -> Error "sc element lacks a peer child"
     | None, _, None -> Error "sc element lacks a service child"
     | None, Some provider, Some service ->
-        let params = List.sort compare !params in
+        let params = List.sort (fun (i, _) (j, _) -> Int.compare i j) !params in
         let expected = List.length params in
         let indices = List.map fst params in
         if indices <> List.init expected Fun.id then

@@ -96,10 +96,12 @@ let rd_skip r n =
    A tree is encoded as a self-contained blob: an interned string
    table (labels, attribute names, identifier namespaces, in first-use
    order) followed by the node structure referencing table indices.
-   Blobs are cached per tree in a weak pointer-keyed table, so a
-   shared tree (the flash-crowd request and package payloads) is
-   encoded once no matter how many messages carry it, and sizing a
-   message that carries it is a length lookup. *)
+   A root's blob and its length are kept in the root itself
+   ([Tree.element]'s [blob] and [blob_len] slots), so a shared tree
+   (the flash-crowd request and package payloads) is encoded once no
+   matter how many messages carry it, and sizing a message that
+   carries it is a field read.  Only trees shipped as forest roots
+   fill these slots. *)
 
 let encode_tree_blob t =
   let tbl : (string, int) Hashtbl.t = Hashtbl.create 8 in
@@ -202,54 +204,28 @@ let tree_blob_size t =
   let body = size_node 0 t in
   uv_size !size_count + !size_strings + body
 
-(* Direct-mapped physical-identity cache of blob lengths: shared trees
-   (flash-crowd request and package payloads) are carried by fresh
-   messages, so a per-message cache would always miss — this one is
-   keyed by the tree itself and costs zero allocation on a hit.  Slots
-   are indexed by node identifier, disambiguated by [==] (a rebuilt
-   tree with a preserved id lands in the same slot but fails the
-   identity check and is re-measured).  Entries are strong references,
-   so the cache pins at most [len_slots] trees — a bounded, deliberate
-   trade for allocation-free sizing. *)
-
-let len_slots = 4096
-let len_keys = Array.make len_slots (Tree.text "")
-let len_vals = Array.make len_slots 0
-
 let tree_blob_len t =
   match t with
   (* an empty string table still has its one-byte count header *)
   | Tree.Text s -> 2 + str_size s
   | Tree.Element e ->
-      let i =
-        (Node_id.counter e.id * 0x9e3779b1)
-        lxor Hashtbl.hash (Node_id.namespace e.id)
-        land (len_slots - 1)
-      in
-      if len_keys.(i) == t then len_vals.(i)
+      if e.blob_len >= 0 then e.blob_len
       else begin
         let n = tree_blob_size t in
-        len_keys.(i) <- t;
-        len_vals.(i) <- n;
+        Tree.set_blob_len e n;
         n
       end
 
-module Blob_tbl = Ephemeron.K1.Make (struct
-  type t = Tree.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-let blob_tbl = Blob_tbl.create 1024
-
 let tree_blob t =
-  match Blob_tbl.find_opt blob_tbl t with
-  | Some b -> b
-  | None ->
-      let b = encode_tree_blob t in
-      Blob_tbl.add blob_tbl t b;
-      b
+  match t with
+  | Tree.Text _ -> encode_tree_blob t
+  | Tree.Element e ->
+      if Bytes.length e.blob > 0 then e.blob
+      else begin
+        let b = encode_tree_blob t in
+        Tree.set_blob e b;
+        b
+      end
 
 let decode_tree_blob r =
   let nstrings = rd_count r ~per:1 in
@@ -301,22 +277,15 @@ let decode_tree_blob r =
    blob, which is what makes lazy decode possible. *)
 
 let forest_section_size lf =
-  let open Message in
-  if lf.wire >= 0 then lf.wire
-  else
-    let n =
-      match lf.st with
-      | Todo { enc = _, _, len; _ } -> len
-      | Done f ->
-          List.fold_left
-            (fun acc t ->
-              let len = tree_blob_len t in
-              acc + uv_size len + len)
-            (uv_size (List.length f))
-            f
-    in
-    lf.wire <- n;
-    n
+  match lf.Message.st with
+  | Todo { enc = _, _, len; _ } -> len
+  | Done f ->
+      List.fold_left
+        (fun acc t ->
+          let len = tree_blob_len t in
+          acc + uv_size len + len)
+        (uv_size (List.length f))
+        f
 
 let buf_forest b lf =
   let open Message in
@@ -351,9 +320,7 @@ let rd_forest r =
       (fun (o, len) -> decode_tree_blob { buf; pos = o; limit = o + len })
       offs
   in
-  let lf = Message.delay ~trees:ntrees ~enc:(buf, start, slice_len) decode in
-  lf.Message.wire <- slice_len;
-  lf
+  Message.delay ~trees:ntrees ~enc:(buf, start, slice_len) decode
 
 (* ---------- scalars, names, destinations ---------- *)
 

@@ -13,17 +13,18 @@
     Two properties the rest of the stack builds on:
 
     - {b Exact sizing without encoding.}  {!frame_bytes} computes the
-      encoded length arithmetically from cached per-tree blob lengths;
-      a qcheck property pins it to [Bytes.length (encode m)].
+      encoded length arithmetically from per-tree blob lengths; a
+      qcheck property pins it to [Bytes.length (encode m)].
     - {b Lazy decode.}  {!decode} materializes scalars eagerly but
       leaves every forest as a {!Message.lforest} thunk backed by the
       frame buffer; nothing is parsed until first touch
       ({!Message.force}), and {!Message.payload_decodes} counts
       touches.
 
-    Per-tree blobs are cached in a weak pointer-keyed table: a tree
-    shared by many messages is encoded once, and sizing it again is a
-    length lookup. *)
+    A shipped tree keeps its blob and the blob's length in its own
+    root node ({!Axml_xml.Tree.element}'s [blob] and [blob_len]
+    slots): a tree shared by many messages is sized once and encoded
+    once, and sizing it again is a field read. *)
 
 type error = Truncated | Malformed of string
 
@@ -46,6 +47,17 @@ val decode : Bytes.t -> (Message.t, error) result
 val decode_strict : Bytes.t -> (Message.t, error) result
 (** {!decode}, then force every carried forest, converting deferred
     blob errors into [Error]. *)
+
+val encode_tree_blob : Axml_xml.Tree.t -> Bytes.t
+(** The self-contained blob of one tree, encoded afresh. *)
+
+val tree_blob : Axml_xml.Tree.t -> Bytes.t
+(** {!encode_tree_blob}, kept in the root's [blob] slot after the
+    first call. *)
+
+val tree_blob_len : Axml_xml.Tree.t -> int
+(** [Bytes.length (tree_blob t)], computed arithmetically (no blob is
+    built) and kept in the root's [blob_len] slot. *)
 
 val roundtrip : Message.t -> Message.t
 (** [decode (encode m)], lazily.  The strict wire mode routes every

@@ -11,11 +11,11 @@ type reply_dest =
    still sitting encoded in a received frame ([Todo]).  The binary
    codec builds [Todo] values whose [decode] thunk parses the frame
    slice on first touch; [enc] keeps the slice itself so the forest
-   can be re-encoded (retransmission) without ever being parsed.  [wire] caches the encoded-section length and [dig]
-   the structural digest — both are per-message scratch owned by the
-   codec and the batch dedup; neither affects equality of the carried
-   forest. *)
-type lforest = { mutable st : lstate; mutable wire : int; mutable dig : int }
+   can be re-encoded (retransmission) without ever being parsed.
+   Sizes, digests and blobs of the carried trees live in the trees
+   themselves ({!Axml_xml.Tree.element}), so the message keeps no
+   scratch of its own. *)
+type lforest = { mutable st : lstate }
 
 and lstate =
   | Done of Forest.t
@@ -25,8 +25,8 @@ and lstate =
       enc : Bytes.t * int * int;
     }
 
-let now f = { st = Done f; wire = -1; dig = 0 }
-let delay ~trees ~enc decode = { st = Todo { trees; decode; enc }; wire = -1; dig = 0 }
+let now f = { st = Done f }
+let delay ~trees ~enc decode = { st = Todo { trees; decode; enc } }
 
 (* Count of lazy payload decodes since the last reset — the
    observable that proves the transport layer never touches forest
@@ -115,9 +115,9 @@ let backref_bytes = 4
 
 (* XML-model size of a carried forest.  Forces a lazy forest: the XML
    size model needs the trees.  (The binary wire never calls this —
-   it charges encoded frame lengths from Codec, which reads cached
+   it charges encoded frame lengths from Codec, which reads encoded
    slice lengths instead.) *)
-let lf_bytes lf = Forest.byte_size_cached (force lf)
+let lf_bytes lf = Forest.byte_size (force lf)
 
 let rec bytes = function
   | Stream { forest; _ } -> envelope + lf_bytes forest
@@ -153,21 +153,11 @@ let shareable_forest = function
   | Retract_doc _ ->
       None
 
-(* Structural digest of the carried forest, cached per message.  0 is
-   the unset sentinel; Forest.shape_hash never returns 0. *)
-let shape_digest lf =
-  if lf.dig <> 0 then lf.dig
-  else begin
-    let d = Forest.shape_hash (force lf) in
-    lf.dig <- d;
-    d
-  end
-
 let batch ~ack msgs =
-  (* Dedup within the frame.  Key: the cached structural digest (an
-     int — no serialization).  Buckets verify candidates first by
-     pointer, then by [Forest.equal_shape], so the sharing decision
-     is exactly "same serialized forest" as before, without the
+  (* Dedup within the frame.  Key: the structural digest the trees
+     store (an int — no serialization).  Buckets verify candidates
+     first by pointer, then by [Forest.equal_shape], so the sharing
+     decision is exactly "same serialized forest", without the
      serializer. *)
   let seen : (int, (lforest * int) list ref) Hashtbl.t = Hashtbl.create 8 in
   let items =
@@ -176,7 +166,7 @@ let batch ~ack msgs =
         match shareable_forest m.payload with
         | None -> Full m
         | Some lf -> (
-            let d = shape_digest lf in
+            let d = Forest.shape_hash (force lf) in
             let bucket =
               match Hashtbl.find_opt seen d with
               | Some b -> b
@@ -235,7 +225,7 @@ let tag = function
    prints its encoded-slice length instead. *)
 let pp_lf_bytes fmt lf =
   match lf.st with
-  | Done f -> Format.fprintf fmt "%dB" (Forest.byte_size_cached f)
+  | Done f -> Format.fprintf fmt "%dB" (Forest.byte_size f)
   | Todo { enc = _, _, len; _ } -> Format.fprintf fmt "%dB-enc" len
 
 let rec pp fmt = function

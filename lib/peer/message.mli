@@ -9,7 +9,10 @@
     Byte sizes under the XML wire are computed from the XML
     serializations — the simulator charges what the wire would carry.
     Under the binary wire ({!Codec}), the charge is the actual encoded
-    frame length. *)
+    frame length.  Both read measures the trees store in their own
+    nodes ({!Axml_xml.Tree.element}), so a forest shared by many
+    messages is measured once and a message keeps no size or digest
+    of its own. *)
 
 module Peer_id = Axml_net.Peer_id
 module Names = Axml_doc.Names
@@ -25,11 +28,7 @@ module Names = Axml_doc.Names
     so never forces — {!payload_decodes} counts forcings to make that
     claim checkable. *)
 
-type lforest = { mutable st : lstate; mutable wire : int; mutable dig : int }
-(** [wire] caches the binary-encoded forest-section length
-    ([-1] = unknown); [dig] caches the structural digest
-    ([0] = unknown).  Both are scratch: they never affect the carried
-    forest's value. *)
+type lforest = { mutable st : lstate }
 
 and lstate =
   | Done of Axml_xml.Forest.t
@@ -192,18 +191,13 @@ val backref_bytes : int
 (** Wire cost of a dedup back-reference inside a [Batch] (XML wire
     model). *)
 
-val shape_digest : lforest -> int
-(** Structural digest of the carried forest
-    ({!Axml_xml.Forest.shape_hash}), cached in the message.  Forces on
-    first call. *)
-
 val batch : ack:int -> t list -> payload
 (** Build a [Batch] frame from sequenced messages (given in send
     order) with the cumulative reverse-direction acknowledgement
     [ack].  Items whose forest structurally duplicates an earlier item
     of the same frame become [Shared] back-references; candidates are
-    matched by cached digest, then verified by pointer equality or
-    {!Axml_xml.Forest.equal_shape} — no serialization. *)
+    matched by {!Axml_xml.Forest.shape_hash}, then verified by pointer
+    equality or {!Axml_xml.Forest.equal_shape} — no serialization. *)
 
 val item_message : batch_item -> t
 (** The enclosed message (back-references carry their full payload). *)

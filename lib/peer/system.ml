@@ -202,9 +202,9 @@ let note_of sim payload =
   else None
 
 let raw_send sim wire ~src ~dst (msg : Message.t) =
-  (* The charged size is the wire's: the XML model walks the payload
-     (memoized per tree), the binary wire reads cached encoded-frame
-     lengths.  Strict mode then replaces the in-flight message with
+  (* The charged size is the wire's: the XML model sums the byte sizes
+     the trees store, the binary wire the blob lengths their roots
+     keep.  Strict mode then replaces the in-flight message with
      its encode→lazy-decode round trip, so the receiver works off the
      frame exactly as a real network peer would — forests decode on
      first touch, and transport-layer handling decodes nothing. *)
@@ -262,7 +262,7 @@ let route ?notify t ~src dest forest ~final =
                 "node@" ^ Peer_id.to_string r.Names.Node_ref.peer
             | Message.Install { peer; name } ->
                 Printf.sprintf "install %s@%s" name (Peer_id.to_string peer) );
-          ("bytes", string_of_int (Forest.byte_size_cached forest));
+          ("bytes", string_of_int (Forest.byte_size forest));
           ("final", string_of_bool final);
         ]
       "route";
@@ -307,7 +307,7 @@ let run_service t (self : Peer.t) service params replies =
       | Axml_doc.Service.Declarative q ->
           let input_bytes =
             List.fold_left
-              (fun acc f -> acc + Forest.byte_size_cached f)
+              (fun acc f -> acc + Forest.byte_size f)
               0 params
           in
           consume_cpu t ~peer:self.Peer.id ~bytes:input_bytes;

@@ -18,7 +18,7 @@ let rec erase_calls t =
         |> List.filter (fun c -> not (Axml_doc.Sc.is_sc c))
         |> List.map erase_calls
       in
-      Tree.Element { e with children }
+      Tree.rebuild ~children e
 
 let conforms_modulo_calls ~schema ~type_name t =
   (* Unordered: call results accumulate at arbitrary sibling

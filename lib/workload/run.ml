@@ -173,10 +173,6 @@ let minor_heap_words = 8 * 1024 * 1024
 let measure sys ~requests ~completed ~unserved ?(latencies = ref [])
     ?(digests = ref []) ?placement roles =
   let budget = (16 * requests) + (40 * List.length roles) + 10_000 in
-  (* Two compactions: the binary wire's blob table ([Codec]) is a second
-     ephemeron table, and the keys of the previous runs' trees are
-     cleared only by the second full collection after they die. *)
-  Gc.compact ();
   Gc.compact ();
   let d0 = Axml_peer.Message.payload_decodes () in
   (* [Gc.minor_words] is the precise allocation counter; the
@@ -267,17 +263,6 @@ let exec spec =
   | Ok () -> ()
   | Error m -> invalid_arg ("Run.exec: " ^ m));
   apply_obs ~seed:spec.seed spec.obs;
-  (* Start from an empty XML size/shape memo.  Its bindings for the
-     trees of earlier runs stay in the table after the trees die — a
-     probe that walks past one whose key the GC has not cleared yet
-     allocates, and their count brings the table's next resize (which
-     rebuilds every bucket) forward.  Either way a process that builds
-     system after system would pay a growing, history-dependent residue
-     inside the bracket: ~174 words per earlier 10-peer crowd, and a
-     resize-and-clean at the 1000-peer tier.  Emptied here, before the
-     build, the table holds this run's bindings only, so repeated runs
-     of one spec allocate the same words. *)
-  Axml_xml.Tree.reset_memo ();
   let gc0 = Gc.get () in
   Gc.set { gc0 with Gc.minor_heap_size = minor_heap_words };
   let r =

@@ -120,11 +120,10 @@ val minor_heap_words : int
 val exec : spec -> result
 (** Build the scenario and run it to quiescence within a budget of
     [16·requests + 40·peers + 10 000] events, under an 8 M-word minor
-    heap (restored afterwards).  The XML size memo is emptied before
-    the build and the heap compacted twice before the bracket, so
-    repeated runs of one spec in one process allocate the same words
-    (the binary-strict wire after a one-time step: its codec pins up
-    to 4096 live trees across runs).
+    heap (restored afterwards).  The heap is compacted once before
+    the bracket; trees keep their own measures, so no table outlives
+    a run and repeated runs of one spec in one process allocate the
+    same words on every wire.
     Observability is left as the spec set it, so a front end can read
     the series and the trace afterwards.
     @raise Invalid_argument when {!validate} rejects the spec. *)

@@ -44,7 +44,7 @@ let rec canonicalize = function
       let children =
         if text = "" then elements else Tree.Text text :: elements
       in
-      Tree.Element { e with attrs = List.sort compare e.attrs; children }
+      Tree.rebuild ~attrs:(List.sort compare e.attrs) ~children e
 
 let fingerprint t = key t
 let compare a b = String.compare (key a) (key b)

@@ -4,9 +4,6 @@ let empty = []
 let size f = List.fold_left (fun acc t -> acc + Tree.size t) 0 f
 let byte_size f = List.fold_left (fun acc t -> acc + Tree.byte_size t) 0 f
 
-let byte_size_cached f =
-  List.fold_left (fun acc t -> acc + Tree.byte_size_cached t) 0 f
-
 let shape_hash f =
   let h =
     List.fold_left

@@ -8,10 +8,7 @@ type t = Tree.t list
 val empty : t
 val size : t -> int
 val byte_size : t -> int
-
-val byte_size_cached : t -> int
-(** {!byte_size} through the weak per-tree memo
-    ({!Tree.byte_size_cached}); for per-charge hot paths. *)
+(** Sum of {!Tree.byte_size}: O(number of trees). *)
 
 val shape_hash : t -> int
 (** Structural digest consistent with {!equal_shape}; order-sensitive

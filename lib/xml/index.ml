@@ -69,37 +69,27 @@ let index_forest t seg forest =
   let rec walk tree =
     t.nodes <- t.nodes + 1;
     match tree with
-    | Tree.Text s -> String.length s
+    | Tree.Text _ -> ()
     | Tree.Element e ->
         let pre = !counter in
         incr counter;
         let ent = { enode = tree; pre; post = pre; seg } in
         if Node_id.Table.mem t.by_id e.id then t.usable <- false
         else Node_id.Table.replace t.by_id e.id ent;
-        let kid_bytes =
-          List.fold_left (fun acc c -> acc + walk c) 0 e.children
-        in
+        List.iter walk e.children;
         ent.post <- !counter - 1;
-        let tag = String.length (Label.to_string e.label) in
-        let attr_bytes =
-          List.fold_left
-            (fun acc (k, v) -> acc + String.length k + String.length v + 4)
-            0 e.attrs
-        in
-        let sub = (2 * tag) + 5 + attr_bytes + kid_bytes in
         Hashtbl.replace tmp e.label
           (ent :: Option.value ~default:[] (Hashtbl.find_opt tmp e.label));
         all := ent :: !all;
         let c, b =
           Option.value ~default:(0, 0) (Hashtbl.find_opt t.lstats e.label)
         in
-        Hashtbl.replace t.lstats e.label (c + 1, b + sub);
-        sub
+        Hashtbl.replace t.lstats e.label (c + 1, b + Tree.byte_size tree)
   in
-  t.bytes <- t.bytes + List.fold_left (fun acc tr -> acc + walk tr) 0 forest;
-  (* Entries are accumulated in post-order (an entry is pushed after
-     its subtree is walked, once its byte size is known); the postings
-     arrays must be sorted by [pre] for the binary search. *)
+  List.iter walk forest;
+  t.bytes <- t.bytes + Forest.byte_size forest;
+  (* Entries are accumulated in post-order; the postings arrays must be
+     sorted by [pre] for the binary search. *)
   let by_pre entries =
     let arr = Array.of_list entries in
     Array.sort (fun a b -> Int.compare a.pre b.pre) arr;

@@ -5,18 +5,61 @@ and element = {
   label : Label.t;
   attrs : (string * string) list;
   children : t list;
+  bytes : int;
+  mutable shape : int;
+  mutable blob_len : int;
+  mutable blob : Bytes.t;
 }
 
+let byte_size = function Text s -> String.length s | Element e -> e.bytes
+
+(* <label attrs>children</label>: the node's own markup plus its
+   children's stored sizes, so building a node costs O(children). *)
+let node_bytes label attrs children =
+  let tag = String.length (Label.to_string label) in
+  let own =
+    List.fold_left
+      (fun acc (k, v) -> acc + String.length k + String.length v + 4)
+      ((2 * tag) + 5)
+      attrs
+  in
+  List.fold_left (fun acc c -> acc + byte_size c) own children
+
+(* The one place an element is built: every constructor, update and
+   copy below goes through it, so the stored size always matches the
+   children and the lazy slots always start empty. *)
+let make id label attrs children =
+  Element
+    {
+      id;
+      label;
+      attrs;
+      children;
+      bytes = node_bytes label attrs children;
+      shape = 0;
+      blob_len = -1;
+      blob = Bytes.empty;
+    }
+
 let element ?(attrs = []) ~gen label children =
-  Element { id = Node_id.Gen.fresh gen; label; attrs; children }
+  make (Node_id.Gen.fresh gen) label attrs children
 
 let element_of_string ?attrs ~gen name children =
   element ?attrs ~gen (Label.of_string name) children
 
 let text s = Text s
+let with_id id ?(attrs = []) label children = make id label attrs children
 
-let with_id id ?(attrs = []) label children =
-  Element { id; label; attrs; children }
+let rebuild ?attrs ?children e =
+  make e.id e.label
+    (Option.value attrs ~default:e.attrs)
+    (Option.value children ~default:e.children)
+
+let set_blob_len e n = e.blob_len <- n
+
+let set_blob e b =
+  e.blob <- b;
+  e.blob_len <- Bytes.length b
 
 let is_element = function Element _ -> true | Text _ -> false
 let is_text = function Text _ -> true | Element _ -> false
@@ -39,83 +82,40 @@ let rec depth = function
   | Element e ->
       1 + List.fold_left (fun acc c -> max acc (depth c)) 0 e.children
 
-let rec byte_size = function
-  | Text s -> String.length s
-  | Element e ->
-      (* <label attrs>children</label> *)
-      let tag = String.length (Label.to_string e.label) in
-      let attr_bytes =
-        List.fold_left
-          (fun acc (k, v) -> acc + String.length k + String.length v + 4)
-          0 e.attrs
-      in
-      (2 * tag) + 5 + attr_bytes
-      + List.fold_left (fun acc c -> acc + byte_size c) 0 e.children
-
-(* Root-level memo for the two O(subtree) measures the messaging hot
-   path recomputes per charge: the byte-size model and the structural
-   shape digest.  Keys are compared by pointer: trees are immutable
-   and functional updates path-copy (see [update_node]), so a pointer
-   hit can never alias a different tree.  The table is weak-keyed, so
-   entries die with the trees they describe. *)
-module Memo = Ephemeron.K1.Make (struct
-  type nonrec t = t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-type memo = { mutable m_bytes : int; mutable m_shape : int }
-
-let memo_tbl = Memo.create 1024
-let reset_memo () = Memo.reset memo_tbl
-
-let memo_of t =
-  match Memo.find_opt memo_tbl t with
-  | Some m -> m
-  | None ->
-      let m = { m_bytes = -1; m_shape = 0 } in
-      Memo.add memo_tbl t m;
-      m
-
-let byte_size_cached t =
-  let m = memo_of t in
-  if m.m_bytes >= 0 then m.m_bytes
-  else begin
-    let n = byte_size t in
-    m.m_bytes <- n;
-    n
-  end
-
 (* FNV-1a-style structural digest over labels, attributes and text —
-   the same distinctions as [equal_shape], no node identifiers.  Equal
-   shapes hash equal.  Never 0: 0 is the "unset" memo sentinel. *)
-let shape_hash t =
-  let mix h x = (h lxor x) * 0x01000193 land max_int in
-  let mix_string h s =
-    let h = ref (mix h (String.length s)) in
-    String.iter (fun c -> h := mix !h (Char.code c)) s;
-    !h
+   the same distinctions as [equal_shape], no node identifiers.  An
+   element mixes its children's digests rather than their content, so
+   asking again after a path-copying update re-hashes only the rebuilt
+   spine.  Never 0: 0 marks the element slot as not yet filled. *)
+let mix h x = (h lxor x) * 0x01000193 land max_int
+
+let mix_string h s =
+  let rec go h i =
+    if i = String.length s then h
+    else go (mix h (Char.code (String.unsafe_get s i))) (i + 1)
   in
-  let rec go h = function
-    | Text s -> mix_string (mix h 2) s
-    | Element e ->
-        let h = mix_string (mix h 1) (Label.to_string e.label) in
+  go (mix h (String.length s)) 0
+
+let nonzero h = if h = 0 then 1 else h
+
+let rec shape_hash = function
+  | Text s -> nonzero (mix_string (mix 0x811c9dc5 2) s)
+  | Element e ->
+      if e.shape <> 0 then e.shape
+      else begin
+        let h = mix_string (mix 0x811c9dc5 1) (Label.to_string e.label) in
         let h =
           List.fold_left
             (fun h (k, v) -> mix_string (mix_string h k) v)
             h e.attrs
         in
-        mix (List.fold_left go h e.children) 3
-  in
-  let m = memo_of t in
-  if m.m_shape <> 0 then m.m_shape
-  else begin
-    let h = go 0x811c9dc5 t in
-    let h = if h = 0 then 1 else h in
-    m.m_shape <- h;
-    h
-  end
+        let h =
+          List.fold_left (fun h c -> mix h (shape_hash c)) h e.children
+        in
+        let h = nonzero (mix h 3) in
+        e.shape <- h;
+        h
+      end
 
 let rec fold f acc t =
   let acc = f acc t in
@@ -161,12 +161,6 @@ let children_by_label t l =
 let first_child_by_label t l =
   match children_by_label t l with [] -> None | c :: _ -> Some c
 
-let rec map_elements f = function
-  | Text s -> Text s
-  | Element e ->
-      let children = List.map (map_elements f) e.children in
-      Element (f { e with children })
-
 (* Functional update of a single identified node.  [changed] tracks
    whether the target was found so callers can distinguish a no-op.
    Path-copying: only the root-to-target spine is rebuilt; every
@@ -187,16 +181,16 @@ let update_node nid f t =
     | Text _ -> t
     | Element e when Node_id.equal e.id nid ->
         changed := true;
-        Element (f e)
+        f e
     | Element e ->
         let children = map_shared e.children in
-        if children == e.children then t else Element { e with children }
+        if children == e.children then t else rebuild ~children e
   in
   let t' = go t in
   if !changed then Some t' else None
 
 let insert_children ~under ts t =
-  update_node under (fun e -> { e with children = e.children @ ts }) t
+  update_node under (fun e -> rebuild ~children:(e.children @ ts) e) t
 
 let insert_siblings ~of_ ts t =
   match parent_of of_ t with
@@ -211,7 +205,7 @@ let insert_siblings ~of_ ts t =
           kids
       in
       update_node parent.id
-        (fun e -> { e with children = insert_after e.children })
+        (fun e -> rebuild ~children:(insert_after e.children) e)
         t
 
 let remove_node nid t =
@@ -223,18 +217,17 @@ let remove_node nid t =
         | Text _ -> true
       in
       update_node parent.id
-        (fun e -> { e with children = List.filter keep e.children })
+        (fun e -> rebuild ~children:(List.filter keep e.children) e)
         t
 
 let rec copy ~gen = function
   | Text s -> Text s
   | Element e ->
-      Element
-        {
-          e with
-          id = Node_id.Gen.fresh gen;
-          children = List.map (copy ~gen) e.children;
-        }
+      (* Children draw their identifiers before the parent: identifiers
+         reach Σ and binary frame sizes, so the order is part of the
+         determinism contract. *)
+      let children = List.map (copy ~gen) e.children in
+      make (Node_id.Gen.fresh gen) e.label e.attrs children
 
 let rec equal_strict a b =
   match (a, b) with

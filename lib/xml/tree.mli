@@ -7,15 +7,32 @@
 
     Trees are immutable.  Children are stored in a list; order is
     preserved for serialization purposes but carries no semantics —
-    unordered comparison lives in {!Canonical}. *)
+    unordered comparison lives in {!Canonical}.
+
+    Each element carries its own measures: its byte size, computed
+    from its children when it is built, and three slots filled on
+    first use — its shape digest and its binary-codec blob and blob
+    length.  [element] is private so that no module can build a node
+    whose measures disagree with its content: every node comes from
+    the constructors below, {!rebuild} or the functional updates,
+    which all start the slots empty.  Compare trees with
+    {!equal_strict} or {!equal_shape}, never with polymorphic
+    equality, which would also compare the lazily filled slots. *)
 
 type t = Element of element | Text of string
 
-and element = {
+and element = private {
   id : Node_id.t;
   label : Label.t;
   attrs : (string * string) list;
   children : t list;
+  bytes : int;  (** {!byte_size} of this subtree. *)
+  mutable shape : int;  (** {!shape_hash}; [0] until first asked. *)
+  mutable blob_len : int;
+      (** Length of the node's binary-codec blob; [-1] until the codec
+          sizes or encodes it. *)
+  mutable blob : Bytes.t;
+      (** The binary-codec blob; empty until the codec encodes it. *)
 }
 
 (** {1 Constructors} *)
@@ -36,6 +53,19 @@ val with_id : Node_id.t -> ?attrs:(string * string) list -> Label.t -> t list ->
 (** [with_id id label children] builds an element with an explicit
     identifier.  Used when reconstructing trees whose identity must be
     preserved (e.g. in-place child insertion). *)
+
+val rebuild :
+  ?attrs:(string * string) list -> ?children:t list -> element -> t
+(** [rebuild ?attrs ?children e] is [e] with the given fields replaced
+    (identifier and label kept), measured afresh. *)
+
+val set_blob_len : element -> int -> unit
+(** Fill the [blob_len] slot.  Only the binary codec writes the two
+    codec slots; the tree module only guarantees that every new node
+    starts with them empty. *)
+
+val set_blob : element -> Bytes.t -> unit
+(** Fill the [blob] slot, and [blob_len] with its length. *)
 
 (** {1 Accessors} *)
 
@@ -60,26 +90,13 @@ val depth : t -> int
 
 val byte_size : t -> int
 (** Approximate serialized size in bytes; the unit of the network cost
-    model. *)
-
-val byte_size_cached : t -> int
-(** {!byte_size} memoized per root in a weak table keyed on pointer
-    identity.  Safe because trees are immutable and functional updates
-    path-copy; meant for hot paths that re-measure the same shipped
-    tree on every charge. *)
+    model.  O(1): read from the node. *)
 
 val shape_hash : t -> int
 (** Structural digest consistent with {!equal_shape}: equal shapes
-    hash equal; node identifiers are ignored.  Memoized like
-    {!byte_size_cached}.  Never returns 0. *)
-
-val reset_memo : unit -> unit
-(** Empty the memo behind {!byte_size_cached} and {!shape_hash}; later
-    calls recompute.  Bindings of dead trees leave the table only when
-    it next resizes, so a process that builds system after system
-    carries their count (and the cost of cleaning them) into every
-    later run; a harness that measures allocation empties it before
-    building each system. *)
+    hash equal; node identifiers are ignored.  Computed from the
+    children's digests and kept in the node, so asking again is O(1).
+    Never returns 0. *)
 
 (** {1 Traversal} *)
 
@@ -108,12 +125,10 @@ val first_child_by_label : t -> Label.t -> t option
     All updates return a new tree; identifiers of untouched nodes are
     preserved. *)
 
-val map_elements : (element -> element) -> t -> t
-(** Bottom-up rewrite of every element node. *)
-
-val update_node : Node_id.t -> (element -> element) -> t -> t option
-(** [update_node id f t] rewrites the node identified by [id] with [f].
-    [None] if [id] does not occur in [t]. *)
+val update_node : Node_id.t -> (element -> t) -> t -> t option
+(** [update_node id f t] replaces the node identified by [id] with
+    [f] of it (typically a {!rebuild}).  [None] if [id] does not occur
+    in [t]. *)
 
 val insert_children : under:Node_id.t -> t list -> t -> t option
 (** [insert_children ~under ts t] appends [ts] to the child list of the

@@ -65,7 +65,7 @@ let append_child t z =
   match z.focus with
   | Tree.Text _ -> invalid_arg "Zipper.append_child: focus is a text node"
   | Tree.Element e ->
-      { z with focus = Tree.Element { e with children = e.children @ [ t ] } }
+      { z with focus = Tree.rebuild ~children:(e.children @ [ t ]) e }
 
 let insert_right t z =
   match z.crumbs with

@@ -313,6 +313,18 @@ let lazy_frame_bytes_prop =
           && Bytes.equal (Codec.encode m') frame
       | Error e -> QCheck.Test.fail_reportf "decode: %a" Codec.pp_error e)
 
+(* The byte-size model walked from scratch: the oracle for the size
+   every node stores when it is built. *)
+let rec oracle_bytes = function
+  | Xml.Tree.Text s -> String.length s
+  | Xml.Tree.Element e ->
+      (2 * String.length (Xml.Label.to_string e.label))
+      + 5
+      + List.fold_left
+          (fun acc (k, v) -> acc + String.length k + String.length v + 4)
+          0 e.attrs
+      + List.fold_left (fun acc c -> acc + oracle_bytes c) 0 e.children
+
 let xml_sizing_prop =
   prop "serialized_length mirrors the serializer" (fun seed ->
       let rng = Rng.create ~seed in
@@ -320,7 +332,89 @@ let xml_sizing_prop =
       let t = rand_tree ~gen rng 4 in
       Xml.Serializer.serialized_length t
       = String.length (Xml.Serializer.to_string t)
-      && Xml.Tree.byte_size_cached t = Xml.Tree.byte_size t)
+      && Xml.Tree.byte_size t = oracle_bytes t)
+
+(* Every node stores its measures: byte size and shape digest in
+   [Tree], blob and blob length through [Codec].  A rebuild path that
+   carried a slot over from the node it replaced would leave a stale
+   measure, so: fill every slot of a random tree, derive a tree from it
+   by each rebuild path, and check every node of the result against
+   the oracle walk, a slot-free reconstruction and a fresh encode. *)
+let rec fresh = function
+  | Xml.Tree.Text s -> Xml.Tree.text s
+  | Xml.Tree.Element e ->
+      Xml.Tree.with_id e.id ~attrs:e.attrs e.label (List.map fresh e.children)
+
+let fill_slots t =
+  Xml.Tree.iter
+    (fun n ->
+      ignore (Xml.Tree.shape_hash n);
+      ignore (Codec.tree_blob_len n);
+      ignore (Codec.tree_blob n))
+    t
+
+let measures_fresh t =
+  let node_ok n =
+    let blob = Codec.encode_tree_blob n in
+    Xml.Tree.byte_size n = oracle_bytes n
+    && Xml.Tree.shape_hash n = Xml.Tree.shape_hash (fresh n)
+    && Codec.tree_blob_len n = Bytes.length blob
+    && Bytes.equal (Codec.tree_blob n) blob
+  in
+  Xml.Tree.fold (fun ok n -> ok && node_ok n) true t
+
+let rebuild_paths ~gen rng t =
+  let ids =
+    List.map (fun (e : Xml.Tree.element) -> e.id) (Xml.Tree.elements t)
+  in
+  let pick l = List.nth l (Rng.int rng (List.length l)) in
+  let inner = match List.tl ids with [] -> None | l -> Some (pick l) in
+  let extra () = rand_tree ~gen rng 2 in
+  let on_inner f = Option.bind inner f in
+  let wire t =
+    let m =
+      Message.make
+        (Message.Stream { key = 1; forest = Message.now [ t ]; final = true })
+    in
+    match (Codec.roundtrip m).Message.payload with
+    | Message.Stream { forest; _ } -> List.hd (Message.force forest)
+    | _ -> assert false
+  in
+  [
+    ( "update_node",
+      Xml.Tree.update_node (pick ids)
+        (Xml.Tree.rebuild ~attrs:[ ("touched", "yes") ])
+        t );
+    ( "insert_children",
+      Xml.Tree.insert_children ~under:(pick ids) [ extra () ] t );
+    ( "insert_siblings",
+      on_inner (fun id -> Xml.Tree.insert_siblings ~of_:id [ extra () ] t) );
+    ("remove_node", on_inner (fun id -> Xml.Tree.remove_node id t));
+    ("copy", Some (Xml.Tree.copy ~gen t));
+    ("canonicalize", Some (Xml.Canonical.canonicalize t));
+    ( "zipper append",
+      Option.map
+        (fun z -> Xml.Zipper.to_tree (Xml.Zipper.append_child (extra ()) z))
+        (Xml.Zipper.find_id (pick ids) (Xml.Zipper.of_tree t)) );
+    ("normalize", Some (Doc.Equivalence.normalize t));
+    ("decode", Some (wire t));
+  ]
+  |> List.filter_map (fun (name, t') -> Option.map (fun t' -> (name, t')) t')
+
+let stale_measure_prop =
+  prop "no rebuild path leaves a stale measure" (fun seed ->
+      let rng = Rng.create ~seed in
+      let gen = Xml.Node_id.Gen.create ~namespace:"stale" in
+      let t =
+        Xml.Tree.element_of_string ~gen "root"
+          [ rand_tree ~gen rng 3; rand_tree ~gen rng 3 ]
+      in
+      fill_slots t;
+      List.for_all
+        (fun (name, t') ->
+          measures_fresh t'
+          || QCheck.Test.fail_reportf "%s left a stale measure" name)
+        (rebuild_paths ~gen rng t))
 
 let shape_hash_prop =
   prop "shape_hash is id-insensitive and shape-consistent" (fun seed ->
@@ -509,6 +603,7 @@ let suite =
     frame_bytes_prop;
     lazy_frame_bytes_prop;
     xml_sizing_prop;
+    stale_measure_prop;
     shape_hash_prop;
     truncation_prop;
     corruption_prop;

@@ -89,7 +89,7 @@ let rec shuffle_tree rng = function
       let elements =
         Rng.shuffle rng (List.filter Xml.Tree.is_element children)
       in
-      Xml.Tree.Element { e with children = texts @ elements }
+      Xml.Tree.rebuild ~children:(texts @ elements) e
 
 let canonical_invariant_under_permutation seed =
   let rng = Rng.create ~seed in

@@ -160,31 +160,24 @@ let test_oracle_overlap () =
 
 (* --- (b) allocation ---------------------------------------------- *)
 
-(* The 10-peer crowd on the XML wire, four times in one process.  Trees
-   from earlier runs leave dead bindings in the XML size memo; a harness
-   that does not empty it before each build charges their probes to
-   later runs (27 686 -> 28 208 words over four runs). *)
+(* The 10-peer crowd, four times in one process, on the XML wire and on
+   the strict binary wire (which encodes real frames).  Trees keep
+   their own measures and blobs, so no table keyed on trees carries one
+   run's residue into the next: every run, the first included,
+   allocates the same words. *)
 let test_repeat_allocates_same () =
-  let s = spec (crowd ~mirrors:3 ~subscribers:6 ~requests:20 ()) in
-  let words = List.init 4 (fun _ -> (Run.exec s).Run.minor_words) in
-  Alcotest.(check (list (float 0.0)))
-    "identical minor words on every run"
-    (List.init 4 (fun _ -> List.hd words))
-    words;
-  (* The strict binary wire also encodes blobs into the codec's own
-     ephemeron table; its codec pins live trees across runs, so only
-     the first run may differ. *)
-  let strict =
-    spec
-      (crowd ~transport:System.Reliable ~wire:System.Binary_strict ~mirrors:3
-         ~subscribers:6 ~requests:20 ())
+  let same_words name s =
+    let words = List.init 4 (fun _ -> (Run.exec s).Run.minor_words) in
+    Alcotest.(check (list (float 0.0)))
+      (name ^ ": identical minor words on every run")
+      (List.init 4 (fun _ -> List.hd words))
+      words
   in
-  match List.init 4 (fun _ -> (Run.exec strict).Run.minor_words) with
-  | _ :: (w :: _ as later) ->
-      Alcotest.(check (list (float 0.0)))
-        "binary-strict: identical minor words after the first run"
-        (List.map (fun _ -> w) later) later
-  | _ -> assert false
+  same_words "xml" (spec (crowd ~mirrors:3 ~subscribers:6 ~requests:20 ()));
+  same_words "binary-strict"
+    (spec
+       (crowd ~transport:System.Reliable ~wire:System.Binary_strict ~mirrors:3
+          ~subscribers:6 ~requests:20 ()))
 
 (* --- (c) validation ---------------------------------------------- *)
 

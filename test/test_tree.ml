@@ -128,7 +128,7 @@ let test_update_node () =
   let t = elt g "root" [ target ] in
   (match
      Xml.Tree.update_node tid
-       (fun e -> { e with attrs = [ ("touched", "yes") ] })
+       (Xml.Tree.rebuild ~attrs:[ ("touched", "yes") ])
        t
    with
   | Some t' -> (
@@ -139,7 +139,7 @@ let test_update_node () =
   let missing =
     Xml.Node_id.Gen.fresh (Xml.Node_id.Gen.create ~namespace:"elsewhere")
   in
-  Alcotest.(check bool) "missing id" true (Xml.Tree.update_node missing Fun.id t = None)
+  Alcotest.(check bool) "missing id" true (Xml.Tree.update_node missing (fun e -> Xml.Tree.Element e) t = None)
 
 let test_copy_fresh_ids () =
   let g = gen () in
